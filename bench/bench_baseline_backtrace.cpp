@@ -7,8 +7,6 @@
 // messages exchanged, request-chain depth, and intermediate state records.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
-
 #include "bench/bench_common.h"
 #include "src/baseline/backtrace_detector.h"
 #include "src/baseline/global_trace.h"
@@ -75,19 +73,13 @@ Comparison compare(std::size_t n_procs, std::size_t deps, std::uint64_t seed) {
       rt.proc(pid).take_snapshot();
     }
     rt.run_for(50'000);
-    const Metrics before = rt.total_metrics();
-    rt.proc(ring.heads[1].owner).start_backtrace(ring.ring_refs[0]);
+    BacktraceBaseline bt(rt);
+    bt.start(ring.heads[1].owner, ring.ring_refs[0]);
     rt.run_for(1'000'000);
-    const Metrics after = rt.total_metrics();
-    cmp.bt_msgs = (after.backtrace_requests.get() - before.backtrace_requests.get()) +
-                  (after.backtrace_replies.get() - before.backtrace_replies.get());
-    std::uint32_t depth = 0;
-    for (ProcessId pid = 0; pid < rt.size(); ++pid) {
-      depth = std::max(depth, rt.proc(pid).backtracer().max_depth_seen());
-    }
-    cmp.bt_depth = depth;
-    cmp.bt_ok = deps > 0 ? after.backtrace_cycles_found.get() == 0
-                         : after.backtrace_cycles_found.get() == 1;
+    const BacktraceBaseline::Counters& c = bt.counters();
+    cmp.bt_msgs = c.requests + c.replies;
+    cmp.bt_depth = c.max_depth;
+    cmp.bt_ok = c.cycles_found == (deps > 0 ? 0u : 1u);
   }
   return cmp;
 }
@@ -157,7 +149,8 @@ int main(int argc, char** argv) {
       const Metrics before = rt.total_metrics();
       std::vector<ProcessId> members;
       for (ProcessId pid = 0; pid < rt.size(); ++pid) members.push_back(pid);
-      rt.proc(0).gtrace().start_epoch(members);
+      GlobalTraceBaseline gt(rt);
+      gt.start_epoch(0, members);
       rt.run_for(2'000'000);
       const Metrics after = rt.total_metrics();
       const std::uint64_t gt_msgs =

@@ -1,7 +1,8 @@
 // Seed-corpus generator: writes one file per representative wire message
-// (every message kind the codec knows) plus a serialized snapshot into the
-// directory given as argv[1]. The checked-in corpus under fuzz/corpus/ was
-// produced by this tool; regenerate after changing the wire format.
+// (every message kind the codec knows, plus one retired kind it must
+// reject) plus a serialized snapshot into the directory given as argv[1].
+// The checked-in corpus under fuzz/corpus/ was produced by this tool;
+// regenerate after changing the wire format.
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -10,6 +11,7 @@
 #include <string_view>
 #include <vector>
 
+#include "src/baseline/backtrace_detector.h"
 #include "src/net/frame.h"
 #include "src/net/message.h"
 #include "src/snapshot/serializer.h"
@@ -81,27 +83,15 @@ int main(int argc, char** argv) {
   cdm.target = {{make_ref_id(2, 2), 0}};
   write_file(dir, "cdm", encode_message(cdm));
 
+  // Tags 7-13 belong to the section-5 baselines, which speak them on the
+  // simulated network only; the production codec must reject them. Seed
+  // that rejection path with a well-formed back-trace request.
   BacktraceRequestMsg btq;
   btq.trace_id = 9;
   btq.req_id = 10;
   btq.subject_ref = make_ref_id(0, 5);
   btq.visited = {make_ref_id(0, 5), make_ref_id(1, 6)};
-  write_file(dir, "backtrace_request", encode_message(btq));
-
-  BacktraceReplyMsg btr;
-  btr.trace_id = 9;
-  btr.req_id = 10;
-  btr.reachable = true;
-  write_file(dir, "backtrace_reply", encode_message(btr));
-
-  GtStartMsg gst;
-  gst.epoch = 2;
-  write_file(dir, "gt_start", encode_message(gst));
-
-  GtStatusMsg gs;
-  gs.epoch = 2;
-  gs.marks_sent = 100;
-  write_file(dir, "gt_status", encode_message(gs));
+  write_file(dir, "retired_tag_backtrace_request", encode_backtrace_message(btq));
 
   SnapshotData snap;
   snap.pid = 1;

@@ -2,157 +2,231 @@
 
 #include <algorithm>
 #include <deque>
+#include <tuple>
 
+#include "src/common/bytes.h"
 #include "src/common/log.h"
-#include "src/rt/process.h"
 
 namespace adgc {
 
-GlobalTraceCollector::GlobalTraceCollector(Process& proc, Metrics& metrics)
-    : proc_(proc), metrics_(metrics) {}
+namespace {
 
-bool GlobalTraceCollector::start_epoch(std::vector<ProcessId> members,
-                                       SimTime poll_interval_us) {
-  if (coordinating_) return false;
-  coordinating_ = true;
-  members_ = std::move(members);
-  // The coordinator is always a participant.
-  if (std::find(members_.begin(), members_.end(), proc_.id()) == members_.end()) {
-    members_.push_back(proc_.id());
+// Every global-trace message is a fixed run of u64 fields; one field list per
+// kind drives both directions of the codec.
+auto fields(GtStartMsg& m) { return std::tie(m.epoch, m.epoch_start); }
+auto fields(GtMarkMsg& m) { return std::tie(m.epoch, m.ref); }
+auto fields(GtPollMsg& m) { return std::tie(m.epoch, m.poll_seq); }
+auto fields(GtStatusMsg& m) {
+  return std::tie(m.epoch, m.poll_seq, m.marks_sent, m.marks_processed);
+}
+auto fields(GtFinishMsg& m) { return std::tie(m.epoch); }
+
+/// The empty alternative whose tag is kGtStartTag + `index`.
+template <std::size_t I = 0>
+GlobalTraceMessage alternative(std::size_t index) {
+  if constexpr (I < std::variant_size_v<GlobalTraceMessage>) {
+    if (index == I) return GlobalTraceMessage{std::in_place_index<I>};
+    return alternative<I + 1>(index);
   }
-  poll_interval_us_ = poll_interval_us;
-  poll_replies_.clear();
-  prev_sent_total_ = ~0ULL;
-  prev_processed_total_ = ~0ULL;
+  throw DecodeError("not a global-trace message");
+}
 
-  GtStartMsg msg;
-  msg.epoch = next_epoch_++;
-  msg.epoch_start = proc_.env_.now();
-  metrics_.gt_epochs_started.add();
-  for (ProcessId pid : members_) proc_.send(pid, msg);
+}  // namespace
 
-  const SimTime interval = poll_interval_us_;
-  proc_.env_.schedule(interval, [this] { send_poll(); });
+std::vector<std::byte> encode_global_trace_message(const GlobalTraceMessage& m) {
+  ByteWriter w;
+  w.u8(static_cast<std::uint8_t>(kGtStartTag + m.index()));
+  const auto put = [&](auto... f) { (w.u64(f), ...); };
+  std::visit([&](auto msg) { std::apply(put, fields(msg)); }, m);
+  return w.take();
+}
+
+GlobalTraceMessage decode_global_trace_message(std::span<const std::byte> bytes) {
+  ByteReader r(bytes);
+  GlobalTraceMessage m = alternative(static_cast<std::uint8_t>(r.u8() - kGtStartTag));
+  const auto get = [&](auto&... f) { ((f = r.u64()), ...); };
+  std::visit([&](auto& msg) { std::apply(get, fields(msg)); }, m);
+  r.expect_done();
+  return m;
+}
+
+GlobalTraceBaseline::GlobalTraceBaseline(Runtime& rt) : rt_(rt), states_(rt) {
+  rt_.add_envelope_hook([this](const Envelope& env) { return deliver(env); });
+}
+
+bool GlobalTraceBaseline::deliver(const Envelope& env) {
+  if (env.bytes.empty()) return false;
+  const auto tag = static_cast<std::uint8_t>(env.bytes[0]);
+  if (tag < kGtStartTag || tag > kGtFinishTag) return false;
+  // As for the back-tracer: a DecodeError is a codec bug and escapes.
+  std::visit([&](const auto& m) { on(env.dst, env.src, m); },
+             decode_global_trace_message(env.bytes));
   return true;
 }
 
-void GlobalTraceCollector::send_poll() {
-  if (!coordinating_) return;
-  poll_replies_.clear();
+void GlobalTraceBaseline::send(ProcessId src, ProcessId dst, const GlobalTraceMessage& m) {
+  rt_.env(src).send_encoded(dst, encode_global_trace_message(m));
+}
+
+bool GlobalTraceBaseline::coordinating(ProcessId coordinator) const {
+  const State* st = states_.find(coordinator);
+  return st && st->coordinating;
+}
+
+std::uint64_t GlobalTraceBaseline::completed_epochs(ProcessId coordinator) const {
+  const State* st = states_.find(coordinator);
+  return st ? st->completed : 0;
+}
+
+bool GlobalTraceBaseline::start_epoch(ProcessId coordinator, std::vector<ProcessId> members,
+                                      SimTime poll_interval_us) {
+  State& st = states_[coordinator];
+  if (st.coordinating) return false;
+  st.coordinating = true;
+  st.members = std::move(members);
+  if (std::find(st.members.begin(), st.members.end(), coordinator) == st.members.end()) {
+    st.members.push_back(coordinator);
+  }
+  st.poll_interval_us = poll_interval_us;
+  st.poll_replies.clear();
+  st.prev_sent_total = ~0ULL;
+  st.prev_processed_total = ~0ULL;
+
+  GtStartMsg msg;
+  msg.epoch = st.next_epoch++;
+  msg.epoch_start = rt_.now();
+  ++counters_.epochs_started;
+  for (ProcessId pid : st.members) send(coordinator, pid, msg);
+
+  rt_.env(coordinator).schedule(st.poll_interval_us,
+                                [this, coordinator] { send_poll(coordinator); });
+  return true;
+}
+
+void GlobalTraceBaseline::send_poll(ProcessId self) {
+  State& st = states_[self];
+  if (!st.coordinating) return;
+  st.poll_replies.clear();
   GtPollMsg msg;
-  msg.epoch = epoch_;  // coordinator participates, so epoch_ is current
-  msg.poll_seq = ++poll_seq_;
-  for (ProcessId pid : members_) proc_.send(pid, msg);
-  proc_.env_.schedule(poll_interval_us_, [this] { send_poll(); });
+  msg.epoch = st.epoch;  // coordinator participates, so its epoch is current
+  msg.poll_seq = ++st.poll_seq;
+  for (ProcessId pid : st.members) send(self, pid, msg);
+  rt_.env(self).schedule(st.poll_interval_us, [this, self] { send_poll(self); });
 }
 
-void GlobalTraceCollector::on_start(ProcessId /*src*/, const GtStartMsg& msg) {
-  epoch_ = msg.epoch;
-  epoch_start_time_ = msg.epoch_start;
-  participating_ = true;
-  marked_objects_.clear();
-  marked_stubs_.clear();
-  marked_scions_.clear();
-  sent_ = 0;
-  processed_ = 0;
-  for (ObjectSeq root : proc_.heap_.roots()) local_mark(root);
+void GlobalTraceBaseline::on(ProcessId self, ProcessId /*src*/, const GtStartMsg& msg) {
+  State& st = states_[self];
+  st.epoch = msg.epoch;
+  st.epoch_start_time = msg.epoch_start;
+  st.participating = true;
+  st.marked_objects.clear();
+  st.marked_stubs.clear();
+  st.marked_scions.clear();
+  st.sent = 0;
+  st.processed = 0;
+  for (ObjectSeq root : rt_.proc(self).heap().roots()) local_mark(self, root);
 }
 
-void GlobalTraceCollector::local_mark(ObjectSeq seed) {
+void GlobalTraceBaseline::local_mark(ProcessId self, ObjectSeq seed) {
+  State& st = states_[self];
+  const Process& proc = rt_.proc(self);
+  const Heap& heap = proc.heap();
   std::deque<ObjectSeq> frontier;
-  if (proc_.heap_.exists(seed) && marked_objects_.insert(seed).second) {
+  if (heap.exists(seed) && st.marked_objects.insert(seed).second) {
     frontier.push_back(seed);
   }
   while (!frontier.empty()) {
     const ObjectSeq cur = frontier.front();
     frontier.pop_front();
-    const HeapObject* obj = proc_.heap_.find(cur);
+    const HeapObject* obj = heap.find(cur);
     if (!obj) continue;
     for (ObjectSeq next : obj->local_fields) {
-      if (proc_.heap_.exists(next) && marked_objects_.insert(next).second) {
+      if (heap.exists(next) && st.marked_objects.insert(next).second) {
         frontier.push_back(next);
       }
     }
     for (RefId ref : obj->remote_fields) {
-      if (!marked_stubs_.insert(ref).second) continue;
-      const StubEntry* stub = proc_.stubs_.find(ref);
+      if (!st.marked_stubs.insert(ref).second) continue;
+      const StubEntry* stub = proc.stubs().find(ref);
       if (!stub) continue;
       GtMarkMsg mark;
-      mark.epoch = epoch_;
+      mark.epoch = st.epoch;
       mark.ref = ref;
-      ++sent_;
-      metrics_.gt_marks_sent.add();
-      proc_.send(stub->target.owner, mark);
+      ++st.sent;
+      ++counters_.marks_sent;
+      send(self, stub->target.owner, mark);
     }
   }
 }
 
-void GlobalTraceCollector::on_mark(ProcessId /*src*/, const GtMarkMsg& msg) {
-  if (!participating_ || msg.epoch != epoch_) return;  // stale epoch
-  ++processed_;
-  if (!marked_scions_.insert(msg.ref).second) return;  // already marked
-  const ScionEntry* scion = proc_.scions_.find(msg.ref);
+void GlobalTraceBaseline::on(ProcessId self, ProcessId /*src*/, const GtMarkMsg& msg) {
+  State& st = states_[self];
+  if (!st.participating || msg.epoch != st.epoch) return;  // stale epoch
+  ++st.processed;
+  if (!st.marked_scions.insert(msg.ref).second) return;  // already marked
+  const ScionEntry* scion = rt_.proc(self).scions().find(msg.ref);
   if (!scion) return;
-  local_mark(scion->target);
+  local_mark(self, scion->target);
 }
 
-void GlobalTraceCollector::on_poll(ProcessId src, const GtPollMsg& msg) {
-  if (!participating_ || msg.epoch != epoch_) return;
+void GlobalTraceBaseline::on(ProcessId self, ProcessId src, const GtPollMsg& msg) {
+  const State& st = states_[self];
+  if (!st.participating || msg.epoch != st.epoch) return;
   GtStatusMsg status;
-  status.epoch = epoch_;
+  status.epoch = st.epoch;
   status.poll_seq = msg.poll_seq;
-  status.marks_sent = sent_;
-  status.marks_processed = processed_;
-  metrics_.gt_status_msgs.add();
-  proc_.send(src, status);
+  status.marks_sent = st.sent;
+  status.marks_processed = st.processed;
+  ++counters_.status_msgs;
+  send(self, src, status);
 }
 
-void GlobalTraceCollector::on_status(ProcessId src, const GtStatusMsg& msg) {
-  if (!coordinating_ || msg.poll_seq != poll_seq_) return;  // stale poll
-  poll_replies_[src] = msg;
-  if (poll_replies_.size() < members_.size()) return;
+void GlobalTraceBaseline::on(ProcessId self, ProcessId src, const GtStatusMsg& msg) {
+  State& st = states_[self];
+  if (!st.coordinating || msg.poll_seq != st.poll_seq) return;  // stale poll
+  st.poll_replies[src] = msg;
+  if (st.poll_replies.size() < st.members.size()) return;
 
   std::uint64_t sent_total = 0, processed_total = 0;
-  for (const auto& [pid, st] : poll_replies_) {
-    sent_total += st.marks_sent;
-    processed_total += st.marks_processed;
+  for (const auto& [pid, status] : st.poll_replies) {
+    sent_total += status.marks_sent;
+    processed_total += status.marks_processed;
   }
   const bool balanced = sent_total == processed_total;
   const bool stable =
-      sent_total == prev_sent_total_ && processed_total == prev_processed_total_;
-  prev_sent_total_ = sent_total;
-  prev_processed_total_ = processed_total;
+      sent_total == st.prev_sent_total && processed_total == st.prev_processed_total;
+  st.prev_sent_total = sent_total;
+  st.prev_processed_total = processed_total;
   if (!balanced || !stable) return;
 
   // Terminated: the global trace is complete.
-  coordinating_ = false;
-  ++completed_;
+  st.coordinating = false;
+  ++st.completed;
   GtFinishMsg fin;
-  fin.epoch = epoch_;
-  for (ProcessId pid : members_) proc_.send(pid, fin);
-  ADGC_INFO("P" << proc_.id() << " global trace epoch " << epoch_ << " terminated ("
+  fin.epoch = st.epoch;
+  for (ProcessId pid : st.members) send(self, pid, fin);
+  ADGC_INFO("P" << self << " global trace epoch " << st.epoch << " terminated ("
                 << sent_total << " marks)");
 }
 
-void GlobalTraceCollector::on_finish(ProcessId /*src*/, const GtFinishMsg& msg) {
-  if (!participating_ || msg.epoch != epoch_) return;
-  participating_ = false;
+void GlobalTraceBaseline::on(ProcessId self, ProcessId /*src*/, const GtFinishMsg& msg) {
+  State& st = states_[self];
+  if (!st.participating || msg.epoch != st.epoch) return;
+  st.participating = false;
+  Process& proc = rt_.proc(self);
   std::vector<RefId> doomed;
-  for (const auto& [ref, scion] : proc_.scions_) {
-    if (marked_scions_.contains(ref)) continue;
+  for (const auto& [ref, scion] : proc.scions()) {
+    if (st.marked_scions.contains(ref)) continue;
     // Conservative mutation guards: anything created or invoked during the
     // epoch survives until the next epoch.
-    if (scion.created_at >= epoch_start_time_) continue;
-    if (scion.last_ic_change >= epoch_start_time_) continue;
+    if (scion.created_at >= st.epoch_start_time) continue;
+    if (scion.last_ic_change >= st.epoch_start_time) continue;
     doomed.push_back(ref);
   }
-  for (RefId ref : doomed) {
-    proc_.scions_.erase(ref);
-    metrics_.gt_scions_deleted.add();
-  }
+  for (RefId ref : doomed) proc.drop_scion(ref, std::nullopt);
+  counters_.scions_deleted += doomed.size();
   if (!doomed.empty()) {
-    ADGC_DEBUG("P" << proc_.id() << " global trace deleted " << doomed.size()
-                   << " scions");
+    ADGC_DEBUG("P" << self << " global trace deleted " << doomed.size() << " scions");
   }
 }
 

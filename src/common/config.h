@@ -39,25 +39,15 @@ struct ProcessConfig {
   SimTime lgc_period_us = 20'000;
   /// AddScion handshake retry interval (message-loss tolerance).
   SimTime add_scion_retry_us = 5'000;
-  /// Max AddScion retries before the export is abandoned (test hook; in
-  /// production this would page an operator — losing the export leaks,
-  /// never corrupts).
-  int add_scion_max_retries = 20;
 
   // --- adaptive degradation (per-peer health, backoff, load shedding) ---
   /// Master switch. When off, every retry uses its fixed interval, no peer
   /// is ever suspected and nothing is shed — the pre-adaptive baseline the
   /// chaos harness compares against.
   bool adaptive_faults = true;
-  /// Cap on exponentially backed-off retry delays (AddScion re-sends and
-  /// NewSetStubs deferral to suspected peers). The base of each series is
-  /// its fixed interval (`add_scion_retry_us`, `lgc_period_us`).
-  SimTime backoff_cap_us = 200'000;
   /// Cap on the per-candidate detection re-launch backoff (base is
   /// `dcda_scan_period_us`, doubled per consecutive timeout).
   SimTime detection_backoff_cap_us = 4'000'000;
-  /// EWMA smoothing factor for the per-peer ack/reply latency estimate.
-  double health_ewma_alpha = 0.2;
   /// A peer is suspected after this many retry timers fired unanswered...
   std::uint32_t suspect_after_failures = 3;
   /// ...or, phi-accrual style, when it has been silent for more than
@@ -66,11 +56,6 @@ struct ProcessConfig {
   /// Lower bound on the RTT used by the accrual test (guards against a few
   /// lucky fast samples making the detector hair-triggered).
   SimTime suspect_rtt_floor_us = 2'000;
-  /// Bound on the sender-side outgoing window per peer (messages sent since
-  /// the peer was last heard from). Above it, CDMs to that peer are shed;
-  /// above twice it, NewSetStubs are too. Invocations, replies and the
-  /// AddScion handshake are never shed. 0 disables shedding.
-  std::uint32_t peer_outstanding_limit = 128;
 
   // --- permanent-failure eviction ---
   /// Escalates sustained suspicion into committed death: a peer that has
@@ -82,10 +67,6 @@ struct ProcessConfig {
   /// a forced crash/restart of the accused peer, never to a dangling
   /// reference, but restarts are not free. 0 disables eviction entirely.
   SimTime peer_death_timeout_us = 0;
-  /// Prunes peer-health slots with no send/hear activity for this long (and
-  /// not currently suspected), bounding survivor memory under peer churn.
-  /// 0 disables pruning.
-  SimTime peer_health_idle_prune_us = 600'000'000;
 
   /// Grace period protecting a *pending* (never yet confirmed by its holder)
   /// scion from NewSetStubs deletion while the reference may still be in
@@ -188,11 +169,6 @@ struct ProcessConfig {
   /// ...or when the oldest queued message has waited this long. Bounds the
   /// extra latency batching may add to any control message.
   SimTime batch_flush_us = 200;
-
-  // --- RMI ---
-  /// Whether remote invocations send a reply message (replies also bump
-  /// invocation counters, per the paper).
-  bool send_replies = true;
 
   // --- instrumentation toggles (Table 1) ---
   /// When false the runtime skips all stub/scion bookkeeping; models the

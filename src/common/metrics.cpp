@@ -61,13 +61,6 @@ const std::vector<Field>& fields() {
       {"cdms_sent", &Metrics::cdms_sent},
       {"cdms_received", &Metrics::cdms_received},
       {"cdm_bytes", &Metrics::cdm_bytes},
-      {"backtrace_requests", &Metrics::backtrace_requests},
-      {"backtrace_replies", &Metrics::backtrace_replies},
-      {"backtrace_cycles_found", &Metrics::backtrace_cycles_found},
-      {"gt_epochs_started", &Metrics::gt_epochs_started},
-      {"gt_marks_sent", &Metrics::gt_marks_sent},
-      {"gt_status_msgs", &Metrics::gt_status_msgs},
-      {"gt_scions_deleted", &Metrics::gt_scions_deleted},
       {"messages_sent", &Metrics::messages_sent},
       {"messages_delivered", &Metrics::messages_delivered},
       {"messages_lost", &Metrics::messages_lost},

@@ -81,17 +81,6 @@ struct Metrics {
   Counter cdms_received;
   Counter cdm_bytes;
 
-  // Baseline (back-tracing) detector.
-  Counter backtrace_requests;
-  Counter backtrace_replies;
-  Counter backtrace_cycles_found;
-
-  // Baseline (global trace) collector.
-  Counter gt_epochs_started;
-  Counter gt_marks_sent;
-  Counter gt_status_msgs;
-  Counter gt_scions_deleted;
-
   // Network.
   Counter messages_sent;
   Counter messages_delivered;

@@ -102,53 +102,6 @@ struct Encoder {
     put_elems(w, m.target);
   }
 
-  void operator()(const BacktraceRequestMsg& m) {
-    w.u8(static_cast<std::uint8_t>(Tag::kBacktraceRequest));
-    w.u64(m.trace_id);
-    w.u64(m.req_id);
-    w.u64(m.subject_ref);
-    put_refs(w, m.visited);
-    w.u32(m.depth);
-  }
-
-  void operator()(const BacktraceReplyMsg& m) {
-    w.u8(static_cast<std::uint8_t>(Tag::kBacktraceReply));
-    w.u64(m.trace_id);
-    w.u64(m.req_id);
-    w.boolean(m.reachable);
-  }
-
-  void operator()(const GtStartMsg& m) {
-    w.u8(static_cast<std::uint8_t>(Tag::kGtStart));
-    w.u64(m.epoch);
-    w.u64(m.epoch_start);
-  }
-
-  void operator()(const GtMarkMsg& m) {
-    w.u8(static_cast<std::uint8_t>(Tag::kGtMark));
-    w.u64(m.epoch);
-    w.u64(m.ref);
-  }
-
-  void operator()(const GtPollMsg& m) {
-    w.u8(static_cast<std::uint8_t>(Tag::kGtPoll));
-    w.u64(m.epoch);
-    w.u64(m.poll_seq);
-  }
-
-  void operator()(const GtStatusMsg& m) {
-    w.u8(static_cast<std::uint8_t>(Tag::kGtStatus));
-    w.u64(m.epoch);
-    w.u64(m.poll_seq);
-    w.u64(m.marks_sent);
-    w.u64(m.marks_processed);
-  }
-
-  void operator()(const GtFinishMsg& m) {
-    w.u8(static_cast<std::uint8_t>(Tag::kGtFinish));
-    w.u64(m.epoch);
-  }
-
   void operator()(const BatchMsg& m) {
     w.u8(static_cast<std::uint8_t>(Tag::kBatch));
     w.u32(static_cast<std::uint32_t>(m.items.size()));
@@ -250,60 +203,6 @@ MessagePayload decode_message(std::span<const std::byte> bytes) {
       r.expect_done();
       return m;
     }
-    case Tag::kBacktraceRequest: {
-      BacktraceRequestMsg m;
-      m.trace_id = r.u64();
-      m.req_id = r.u64();
-      m.subject_ref = r.u64();
-      m.visited = get_refs(r);
-      m.depth = r.u32();
-      r.expect_done();
-      return m;
-    }
-    case Tag::kBacktraceReply: {
-      BacktraceReplyMsg m;
-      m.trace_id = r.u64();
-      m.req_id = r.u64();
-      m.reachable = r.boolean();
-      r.expect_done();
-      return m;
-    }
-    case Tag::kGtStart: {
-      GtStartMsg m;
-      m.epoch = r.u64();
-      m.epoch_start = r.u64();
-      r.expect_done();
-      return m;
-    }
-    case Tag::kGtMark: {
-      GtMarkMsg m;
-      m.epoch = r.u64();
-      m.ref = r.u64();
-      r.expect_done();
-      return m;
-    }
-    case Tag::kGtPoll: {
-      GtPollMsg m;
-      m.epoch = r.u64();
-      m.poll_seq = r.u64();
-      r.expect_done();
-      return m;
-    }
-    case Tag::kGtStatus: {
-      GtStatusMsg m;
-      m.epoch = r.u64();
-      m.poll_seq = r.u64();
-      m.marks_sent = r.u64();
-      m.marks_processed = r.u64();
-      r.expect_done();
-      return m;
-    }
-    case Tag::kGtFinish: {
-      GtFinishMsg m;
-      m.epoch = r.u64();
-      r.expect_done();
-      return m;
-    }
     case Tag::kBatch: {
       BatchMsg m;
       const std::uint32_t n = r.u32();
@@ -358,13 +257,6 @@ const char* message_kind(const MessagePayload& m) {
     const char* operator()(const AddScionMsg&) const { return "AddScion"; }
     const char* operator()(const AddScionAckMsg&) const { return "AddScionAck"; }
     const char* operator()(const CdmMsg&) const { return "Cdm"; }
-    const char* operator()(const BacktraceRequestMsg&) const { return "BacktraceReq"; }
-    const char* operator()(const BacktraceReplyMsg&) const { return "BacktraceRep"; }
-    const char* operator()(const GtStartMsg&) const { return "GtStart"; }
-    const char* operator()(const GtMarkMsg&) const { return "GtMark"; }
-    const char* operator()(const GtPollMsg&) const { return "GtPoll"; }
-    const char* operator()(const GtStatusMsg&) const { return "GtStatus"; }
-    const char* operator()(const GtFinishMsg&) const { return "GtFinish"; }
     const char* operator()(const BatchMsg&) const { return "Batch"; }
     const char* operator()(const EvictedNackMsg&) const { return "EvictedNack"; }
     const char* operator()(const NssSolicitMsg&) const { return "NssSolicit"; }

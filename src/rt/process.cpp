@@ -5,13 +5,30 @@
 #include <stdexcept>
 #include <utility>
 
-#include "src/baseline/backtrace_detector.h"
-#include "src/baseline/global_trace.h"
 #include "src/dcda/candidates.h"
 #include "src/lgc/mark_sweep.h"
 #include "src/snapshot/snapshot.h"
 
 namespace adgc {
+
+namespace {
+
+/// AddScion re-sends before an export is abandoned (it then leaks, never
+/// corrupts).
+constexpr int kAddScionMaxRetries = 20;
+/// Cap on exponentially backed-off delays: AddScion re-sends and
+/// NewSetStubs deferral toward suspected peers. The base of each series is
+/// its fixed interval (`add_scion_retry_us`, `lgc_period_us`).
+constexpr SimTime kBackoffCapUs = 200'000;
+/// Sender-side outgoing window per suspected peer (messages sent since it
+/// was last heard from). Above it CDMs are shed; above twice it NewSetStubs
+/// are too.
+constexpr std::uint32_t kPeerOutstandingLimit = 128;
+/// Peer-health slots idle (no send/hear, not suspected) this long are
+/// pruned, bounding survivor memory under peer churn.
+constexpr SimTime kPeerHealthIdlePruneUs = 600'000'000;
+
+}  // namespace
 
 Process::Process(ProcessId pid, const ProcessConfig& cfg, Env& env, Incarnation incarnation)
     : pid_(pid), cfg_(cfg), env_(env), incarnation_(incarnation) {
@@ -46,8 +63,6 @@ Process::Process(ProcessId pid, const ProcessConfig& cfg, Env& env, Incarnation 
   };
   detector_ = std::make_unique<Detector>(pid_, cfg_, env_.metrics(), std::move(hooks));
   detector_->set_trace(env_.trace());
-  backtracer_ = std::make_unique<BacktraceDetector>(*this, env_.metrics());
-  gtrace_ = std::make_unique<GlobalTraceCollector>(*this, env_.metrics());
   if (!cfg_.snapshot_dir.empty()) {
     store_ = std::make_unique<SnapshotStore>(cfg_.snapshot_dir, cfg_.snapshot_retain);
   }
@@ -92,16 +107,15 @@ void Process::send(ProcessId dst, const MessagePayload& msg) {
   // shed NSS is superseded by the next full-state re-send), so shedding can
   // only delay collection, never corrupt it. Invocations, replies and the
   // AddScion handshake are never shed.
-  if (cfg_.adaptive_faults && cfg_.peer_outstanding_limit > 0) {
+  if (cfg_.adaptive_faults) {
     const std::uint32_t window = peer_health_.outstanding(dst);
-    if (window >= cfg_.peer_outstanding_limit && peer_health_.suspected(dst, env_.now())) {
+    if (window >= kPeerOutstandingLimit && peer_health_.suspected(dst, env_.now())) {
       if (std::holds_alternative<CdmMsg>(msg)) {
         metrics().cdms_shed.add();
         ADGC_TRACE("P" << pid_ << " shedding CDM to suspected P" << dst);
         return;
       }
-      if (window >= 2 * cfg_.peer_outstanding_limit &&
-          std::holds_alternative<NewSetStubsMsg>(msg)) {
+      if (window >= 2 * kPeerOutstandingLimit && std::holds_alternative<NewSetStubsMsg>(msg)) {
         metrics().new_set_stubs_shed.add();
         ADGC_TRACE("P" << pid_ << " shedding NewSetStubs to suspected P" << dst);
         return;
@@ -229,7 +243,7 @@ ExportedRef Process::begin_third_party_export(RefId held, ProcessId receiver,
 
 SimTime Process::handshake_retry_delay(int attempt) {
   if (!cfg_.adaptive_faults) return cfg_.add_scion_retry_us;
-  return backoff_delay(cfg_.add_scion_retry_us, cfg_.backoff_cap_us, attempt, env_.rng());
+  return backoff_delay(cfg_.add_scion_retry_us, kBackoffCapUs, attempt, env_.rng());
 }
 
 void Process::retry_handshake(std::uint64_t id) {
@@ -237,7 +251,7 @@ void Process::retry_handshake(std::uint64_t id) {
   if (it == handshakes_.end()) return;  // already acked
   Handshake& hs = it->second;
   peer_health_.on_timeout(hs.owner, env_.now());
-  if (++hs.retries > cfg_.add_scion_max_retries) {
+  if (++hs.retries > kAddScionMaxRetries) {
     ADGC_ERROR("P" << pid_ << " abandoning export after " << hs.retries
                    << " AddScion retries (ref " << ref_to_string(hs.msg.ref) << ")");
     metrics().add_scion_abandoned.add();
@@ -292,7 +306,7 @@ void Process::really_send_invoke(PendingInvoke&& inv) {
   msg.effect = inv.effect;
   msg.args = std::move(inv.args);
   msg.payload.assign(inv.payload_bytes, std::byte{0});
-  msg.want_reply = inv.want_reply && cfg_.send_replies;
+  msg.want_reply = inv.want_reply;
   msg.call_id = inv.call_id;
   metrics().invocations_sent.add();
   if (msg.want_reply) {
@@ -407,20 +421,6 @@ void Process::dispatch(ProcessId src, const MessagePayload& payload) {
           on_add_scion_ack(src, msg);
         } else if constexpr (std::is_same_v<T, CdmMsg>) {
           on_cdm(src, msg);
-        } else if constexpr (std::is_same_v<T, BacktraceRequestMsg>) {
-          backtracer_->on_request(src, msg);
-        } else if constexpr (std::is_same_v<T, BacktraceReplyMsg>) {
-          backtracer_->on_reply(src, msg);
-        } else if constexpr (std::is_same_v<T, GtStartMsg>) {
-          gtrace_->on_start(src, msg);
-        } else if constexpr (std::is_same_v<T, GtMarkMsg>) {
-          gtrace_->on_mark(src, msg);
-        } else if constexpr (std::is_same_v<T, GtPollMsg>) {
-          gtrace_->on_poll(src, msg);
-        } else if constexpr (std::is_same_v<T, GtStatusMsg>) {
-          gtrace_->on_status(src, msg);
-        } else if constexpr (std::is_same_v<T, GtFinishMsg>) {
-          gtrace_->on_finish(src, msg);
         } else if constexpr (std::is_same_v<T, BatchMsg>) {
           on_batch(src, msg);
         } else if constexpr (std::is_same_v<T, EvictedNackMsg>) {
@@ -506,7 +506,7 @@ void Process::on_invoke(ProcessId src, const InvokeMsg& msg) {
     }
   }
 
-  if (msg.want_reply && cfg_.send_replies) {
+  if (msg.want_reply) {
     ReplyMsg reply;
     reply.ref = msg.ref;
     reply.call_id = msg.call_id;
@@ -586,27 +586,34 @@ void Process::on_cdm(ProcessId /*src*/, const CdmMsg& msg) {
 
 void Process::on_cycle_found(DetectionId id, RefId candidate, std::uint64_t expected_ic) {
   detector_->finish(id, env_.now());
-  ScionEntry* scion = scions_.find(candidate);
-  if (!scion) return;  // already collected (e.g. parallel detection)
-  // Last-moment revalidation: the mutator used the reference since the
-  // snapshot the detection was based on. (Disabled — along with every other
-  // IC comparison — by the model checker's planted-bug knob.)
-  if (!cfg_.dcda_unsafe_ignore_ic && scion->ic != expected_ic) {
+  // kMissing: already collected (e.g. by a parallel detection).
+  const ScionDrop outcome = drop_scion(candidate, expected_ic);
+  if (outcome == ScionDrop::kDropped) {
+    metrics().detections_cycle_found.add();
+  } else if (outcome == ScionDrop::kIcChanged) {
     metrics().detections_aborted_ic.add();
-    return;
-  }
-  if (scion->target_root_reachable) {
-    // The local GC has since seen the target from a root; be conservative.
+  } else if (outcome == ScionDrop::kLocallyReachable) {
     metrics().detections_aborted_local.add();
-    return;
   }
-  ADGC_INFO("P" << pid_ << " deleting scion " << ref_to_string(candidate)
-                << " (distributed cycle)");
-  scions_.erase(candidate);
-  candidate_failures_.erase(candidate);
-  candidate_not_before_.erase(candidate);
-  metrics().detections_cycle_found.add();
+}
+
+Process::ScionDrop Process::drop_scion(RefId ref, std::optional<std::uint64_t> expected_ic) {
+  const ScionEntry* scion = scions_.find(ref);
+  if (!scion) return ScionDrop::kMissing;
+  if (expected_ic) {
+    // Last-moment revalidation: the mutator used the reference since the
+    // snapshot the detection was based on. (Disabled — along with every
+    // other IC comparison — by the model checker's planted-bug knob.)
+    if (!cfg_.dcda_unsafe_ignore_ic && scion->ic != *expected_ic) return ScionDrop::kIcChanged;
+    // The local GC has since seen the target from a root; be conservative.
+    if (scion->target_root_reachable) return ScionDrop::kLocallyReachable;
+  }
+  ADGC_INFO("P" << pid_ << " deleting scion " << ref_to_string(ref) << " (distributed cycle)");
+  scions_.erase(ref);
+  candidate_failures_.erase(ref);
+  candidate_not_before_.erase(ref);
   metrics().scions_deleted_cyclic.add();
+  return ScionDrop::kDropped;
 }
 
 // -------------------------------------------------------------- collectors
@@ -619,11 +626,8 @@ void Process::run_lgc() {
   const auto wall_start = std::chrono::steady_clock::now();
   const SimTime vt_start = env_.now();
   if (cfg_.dgc_enabled && cfg_.peer_death_timeout_us > 0) maybe_evict_peers();
-  if (cfg_.peer_health_idle_prune_us > 0) {
-    const std::size_t pruned =
-        peer_health_.prune_idle(env_.now(), cfg_.peer_health_idle_prune_us);
-    if (pruned > 0) metrics().peer_health_slots_pruned.add(pruned);
-  }
+  const std::size_t pruned = peer_health_.prune_idle(env_.now(), kPeerHealthIdlePruneUs);
+  if (pruned > 0) metrics().peer_health_slots_pruned.add(pruned);
   // Gauge semantics via reset+add: the table size as of this LGC.
   metrics().peer_health_slots.reset();
   metrics().peer_health_slots.add(peer_health_.size());
@@ -677,7 +681,7 @@ void Process::run_lgc() {
           metrics().new_set_stubs_deferred.add();
           continue;
         }
-        const SimTime spacing = backoff_delay(cfg_.lgc_period_us, cfg_.backoff_cap_us,
+        const SimTime spacing = backoff_delay(cfg_.lgc_period_us, kBackoffCapUs,
                                               static_cast<int>(gate.level), env_.rng());
         gate.next_ok = env_.now() + spacing;
         if (gate.level < 16) ++gate.level;
@@ -997,7 +1001,6 @@ void Process::run_dcda_scan() {
   for (const auto& rec : detector_->expire(env_.now())) {
     note_detection_timeout(rec.candidate);
   }
-  backtracer_->expire(env_.now(), cfg_.detection_timeout_us);
   CandidateHealthView health;
   health.peers = &peer_health_;
   health.not_before = &candidate_not_before_;
@@ -1018,7 +1021,5 @@ void Process::run_dcda_scan() {
     }
   }
 }
-
-void Process::start_backtrace(RefId candidate) { backtracer_->start(candidate); }
 
 }  // namespace adgc

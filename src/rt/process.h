@@ -7,8 +7,11 @@
 //   * the DGC tables (stubs/scions) and the reference-listing protocol,
 //   * the local mark-sweep GC,
 //   * periodic snapshotting + summarization,
-//   * the DCDA detector,
-//   * the baseline back-tracing detector (for comparison benches).
+//   * the DCDA detector.
+// It speaks only the paper's protocol. The section-5 comparison baselines
+// (src/baseline) are sim-harness objects built on a Runtime; they read this
+// class through its const accessors and delete scions only through
+// drop_scion().
 //
 // Reference export model (stands in for Rotor/.NET remoting interception):
 //   * exporting one of our own objects creates the scion locally, then hands
@@ -45,9 +48,6 @@
 #include "src/snapshot/summarizer.h"
 
 namespace adgc {
-
-class BacktraceDetector;
-class GlobalTraceCollector;
 
 /// An argument of a remote invocation: either one of our own objects (to be
 /// exported) or a reference we hold (to be re-exported).
@@ -172,8 +172,16 @@ class Process {
     peer_evicted_hook_ = std::move(fn);
   }
 
-  /// Starts a baseline back-tracing detection on a scion (bench/tests).
-  void start_backtrace(RefId candidate);
+  /// Outcome of drop_scion().
+  enum class ScionDrop { kDropped, kMissing, kIcChanged, kLocallyReachable };
+  /// Deletes scion `ref` as distributed garbage found by a cycle detector.
+  /// With `expected_ic` (the DCDA and back-tracing) it first revalidates at
+  /// the last moment: the mutator must not have used the reference since
+  /// the detector's view of it (IC still `expected_ic`), and the local GC
+  /// must not have seen its target from a root since. Without it (the
+  /// global-trace baseline, whose epoch applies its own mutation guards)
+  /// the scion goes unconditionally.
+  ScionDrop drop_scion(RefId ref, std::optional<std::uint64_t> expected_ic);
 
   // ---------- message entry point ----------
   void deliver(const Envelope& env);
@@ -189,8 +197,6 @@ class Process {
   const ScionTable& scions() const { return scions_; }
   Detector& detector() { return *detector_; }
   const Detector& detector() const { return *detector_; }
-  BacktraceDetector& backtracer() { return *backtracer_; }
-  GlobalTraceCollector& gtrace() { return *gtrace_; }
   std::shared_ptr<const SummarizedGraph> current_summary() const { return summary_; }
   std::uint64_t snapshot_version() const { return snapshot_version_; }
   /// True while a pipelined snapshot is between capture and publish.
@@ -203,9 +209,6 @@ class Process {
   const Batcher& batcher() const { return *batcher_; }
 
  private:
-  friend class BacktraceDetector;
-  friend class GlobalTraceCollector;
-
   struct PendingInvoke {
     std::uint64_t call_id = 0;
     ObjectSeq caller = kNoObject;
@@ -341,8 +344,6 @@ class Process {
   std::uint64_t snapshot_version_ = 0;
 
   std::unique_ptr<Detector> detector_;
-  std::unique_ptr<BacktraceDetector> backtracer_;
-  std::unique_ptr<GlobalTraceCollector> gtrace_;
   /// Declared after the serializer/summarizer/store it borrows: destroyed
   /// first, which joins the background worker before its inputs die.
   std::unique_ptr<SnapshotPipeline> pipeline_;

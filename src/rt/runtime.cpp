@@ -89,6 +89,8 @@ bool Runtime::restart(ProcessId pid) {
 
 Runtime::~Runtime() = default;
 
+Env& Runtime::env(ProcessId pid) { return *envs_.at(pid); }
+
 void Runtime::push_at(SimTime when, std::variant<Envelope, TimerEvent> what) {
   if (explicit_) {
     list_.push_back(Event{when, next_event_seq_++, std::move(what)});
@@ -197,6 +199,9 @@ void Runtime::execute(Event&& ev) {
       return;
     }
     net_metrics_.messages_delivered.add();
+    for (const EnvelopeHook& hook : hooks_) {
+      if (hook(*env)) return;
+    }
     procs_.at(env->dst)->deliver(*env);
   } else {
     TimerEvent& timer = std::get<TimerEvent>(ev.what);

@@ -92,6 +92,18 @@ class Runtime {
   SimNetwork& network() { return *network_; }
   const RuntimeConfig& config() const { return cfg_; }
 
+  // ---- sim-harness protocols (the section-5 baselines in src/baseline) ----
+  /// Process `pid`'s Env: its clock, sends over the simulated network
+  /// (latency, loss and partitions apply) and timers owned by its current
+  /// incarnation, which die with a crash like the process's own.
+  Env& env(ProcessId pid);
+  /// Offered every envelope that passed the crash/incarnation checks, before
+  /// Process::deliver; returns true when it consumed the envelope. Harness
+  /// protocols use tag bytes production never accepts and claim exactly
+  /// those. The hook must outlive every later event the runtime executes.
+  using EnvelopeHook = std::function<bool(const Envelope&)>;
+  void add_envelope_hook(EnvelopeHook hook) { hooks_.push_back(std::move(hook)); }
+
   /// Network-level counters (sends/losses/bytes).
   Metrics& net_metrics() { return net_metrics_; }
   /// Sum of all per-process counters plus the network's.
@@ -149,6 +161,7 @@ class Runtime {
   std::vector<std::unique_ptr<SimEnv>> envs_;
   std::vector<std::unique_ptr<Process>> procs_;  // null slot = crashed
   std::vector<Incarnation> incarnations_;
+  std::vector<EnvelopeHook> hooks_;
 };
 
 }  // namespace adgc

@@ -125,7 +125,8 @@ TEST_F(BatcherUnit, BatchableKinds) {
   EXPECT_FALSE(Batcher::batchable(MessagePayload{InvokeMsg{}}));
   EXPECT_FALSE(Batcher::batchable(MessagePayload{ReplyMsg{}}));
   EXPECT_FALSE(Batcher::batchable(MessagePayload{AddScionMsg{}}));
-  EXPECT_FALSE(Batcher::batchable(MessagePayload{BacktraceRequestMsg{}}));
+  EXPECT_FALSE(Batcher::batchable(MessagePayload{EvictedNackMsg{}}));
+  EXPECT_FALSE(Batcher::batchable(MessagePayload{NssSolicitMsg{}}));
   // A batch is not itself batchable: no nesting.
   EXPECT_FALSE(Batcher::batchable(MessagePayload{BatchMsg{}}));
 }

@@ -50,7 +50,7 @@ TEST(Metrics, ReportListsOnlyNonZero) {
 TEST(Metrics, ResetZeroesEverything) {
   Metrics m;
   m.cdms_sent.add(3);
-  m.gt_marks_sent.add(9);
+  m.messages_lost.add(9);
   m.reset();
   EXPECT_TRUE(m.report().empty());
 }
