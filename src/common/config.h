@@ -48,14 +48,9 @@ struct ProcessConfig {
   /// Cap on the per-candidate detection re-launch backoff (base is
   /// `dcda_scan_period_us`, doubled per consecutive timeout).
   SimTime detection_backoff_cap_us = 4'000'000;
-  /// A peer is suspected after this many retry timers fired unanswered...
+  /// A peer is suspected after this many retry timers fired unanswered (or
+  /// by phi accrual, see kSuspectPhi in src/net/peer_health.h).
   std::uint32_t suspect_after_failures = 3;
-  /// ...or, phi-accrual style, when it has been silent for more than
-  /// `suspect_phi` × smoothed-RTT while messages to it are outstanding.
-  double suspect_phi = 16.0;
-  /// Lower bound on the RTT used by the accrual test (guards against a few
-  /// lucky fast samples making the detector hair-triggered).
-  SimTime suspect_rtt_floor_us = 2'000;
 
   // --- permanent-failure eviction ---
   /// Escalates sustained suspicion into committed death: a peer that has
@@ -82,18 +77,10 @@ struct ProcessConfig {
   // --- snapshots / summarization ---
   /// Period between snapshot + summarization passes.
   SimTime snapshot_period_us = 50'000;
-  /// Which summarizer builds the DCDA's view (all equivalent; kScc is the
-  /// production choice, kBfs the simple reference, kIncremental memoizes
-  /// per-scion traversals across snapshots — the paper's "lazily and
-  /// incrementally" mode, best on slowly-mutating heaps).
-  enum class SummarizerKind { kBfs, kScc, kIncremental };
-  SummarizerKind summarizer = SummarizerKind::kScc;
-  /// Round-trip every snapshot through the binary serializer (exercises the
-  /// paper's serialize-to-disk path and the codec; off for micro-benches).
-  bool roundtrip_snapshots = true;
-  /// When non-empty, every snapshot is also persisted here (the paper's
-  /// snapshots-on-disk, §2.2) with bounded retention, and the process can
-  /// recover its summarized view from disk after a restart.
+  /// When non-empty, every snapshot is serialized and persisted here (the
+  /// paper's snapshots-on-disk, §2.2) with bounded retention, and the
+  /// process can recover its summarized view from disk after a restart.
+  /// When empty, snapshots are summarized in memory and never serialized.
   std::string snapshot_dir;
   /// Snapshot files kept per process when persisting.
   std::size_t snapshot_retain = 2;
@@ -120,26 +107,12 @@ struct ProcessConfig {
   /// been stable for this long (the paper's "not invoked for a certain
   /// amount of time" heuristic).
   SimTime candidate_quarantine_us = 40'000;
-  /// Ordering among eligible candidates when the in-flight budget can't
-  /// take them all (the paper defers candidate selection to the literature;
-  /// these are the classic options):
-  ///   kOldestQuiet    — longest-untouched first (paper's §2.1 intuition)
-  ///   kSmallestFanout — fewest outgoing stubs first (cheapest probes)
-  ///   kRoundRobin     — rotate the start point per scan (no starvation)
-  enum class CandidatePolicy { kOldestQuiet, kSmallestFanout, kRoundRobin };
-  CandidatePolicy candidate_policy = CandidatePolicy::kOldestQuiet;
   /// Initiator-side detection timeout; a lost CDM merely delays collection.
   SimTime detection_timeout_us = 2'000'000;
   /// Hard cap on CDM hops (safety net against pathological graphs).
   std::uint32_t cdm_hop_limit = 4096;
   /// Max detections a process keeps in flight simultaneously.
   std::uint32_t max_inflight_detections = 64;
-  /// §3.2 optimization: before forwarding a derived CDM, check the algebra
-  /// for unmatched invocation counters and abort locally instead of paying
-  /// another network hop ("race condition detection can be optimized if P1
-  /// analyzes unmatched counters in the algebra it is about to send").
-  /// Not required for safety; pure latency/traffic saving.
-  bool early_ic_check = true;
   /// TEST-ONLY planted bug (model-checker self-test): treat every invocation
   /// counter as zero inside the DCDA, disabling rule 3, the algebra IC-match
   /// abort and the last-moment scion revalidation — i.e. run the detector as

@@ -62,7 +62,7 @@ struct Metrics {
 
   // Snapshots.
   Counter snapshots_taken;
-  Counter snapshot_bytes;
+  Counter snapshot_bytes;             // serialized bytes of persisted snapshots only
   Counter summarizations;
   Counter snapshots_coalesced;        // request while one in flight (pipeline)
   Counter snapshot_persist_failures;  // store write/publish failed (summary still published)
@@ -150,7 +150,7 @@ struct Metrics {
   Histogram rmi_rtt_us;               // invoke → reply round trip (Env clock)
   Histogram lgc_pause_us;             // run_lgc wall time (incl. NSS build)
   Histogram snapshot_capture_us;      // heap/table capture (always mutator-visible)
-  Histogram snapshot_persist_us;      // serialize + store write (+roundtrip decode)
+  Histogram snapshot_persist_us;      // serialize + store write (persisted snapshots only)
   Histogram snapshot_summarize_us;    // summarization wall time
   Histogram detection_lifetime_us;    // initiator-observed detection lifetime
   Histogram batch_flush_msgs;         // messages per control-plane batch flush

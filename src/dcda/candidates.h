@@ -35,12 +35,12 @@ struct CandidateHealthView {
   const std::map<RefId, SimTime>* not_before = nullptr;
 };
 
-/// `scan_seq` is a monotonically increasing per-process scan counter (used
-/// by the round-robin policy to rotate its starting point).
+/// Eligible candidates are ordered oldest-quiet first — longest-untouched
+/// invocation counter first, the paper's §2.1 intuition — and the first
+/// `max_inflight_detections − in_flight` are returned.
 std::vector<RefId> select_candidates(const ScionTable& scions, const SummarizedGraph* snap,
                                      const DetectionManager& manager,
                                      const ProcessConfig& cfg, SimTime now,
-                                     std::uint64_t scan_seq = 0,
                                      const CandidateHealthView* health = nullptr,
                                      Metrics* metrics = nullptr);
 

@@ -7,7 +7,8 @@
 // phi-accrual-style suspicion verdict per peer:
 //
 //   suspected(peer)  ⇔  consecutive_failures ≥ suspect_after_failures
-//                    ∨  (outstanding > 0 ∧ silence > phi · max(srtt, floor))
+//                    ∨  (outstanding > 0 ∧ silence > kSuspectPhi ·
+//                                               max(srtt, kSuspectRttFloorUs))
 //
 // where `silence` is the time since the peer was last heard from and
 // `outstanding` counts messages sent to the peer since then (so an idle but
@@ -33,6 +34,13 @@
 #include "src/common/rng.h"
 
 namespace adgc {
+
+/// Phi-accrual threshold: a peer silent for more than this many smoothed
+/// RTTs while messages to it are outstanding is suspected.
+constexpr double kSuspectPhi = 16.0;
+/// Lower bound on the RTT used by the accrual test (guards against a few
+/// lucky fast samples making the detector hair-triggered).
+constexpr SimTime kSuspectRttFloorUs = 2'000;
 
 /// Exponential backoff with deterministic "equal jitter": the delay for
 /// `attempt` (0-based) is uniform in [d/2, d) where d = min(cap, base·2^a).

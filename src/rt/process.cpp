@@ -7,7 +7,9 @@
 
 #include "src/dcda/candidates.h"
 #include "src/lgc/mark_sweep.h"
+#include "src/snapshot/serializer.h"
 #include "src/snapshot/snapshot.h"
+#include "src/snapshot/summarizer.h"
 
 namespace adgc {
 
@@ -40,18 +42,6 @@ Process::Process(ProcessId pid, const ProcessConfig& cfg, Env& env, Incarnation 
     next_ref_counter_ = (std::uint64_t{incarnation_} << 32) + 1;
     heap_.set_next_seq_floor((std::uint64_t{incarnation_} << 40) + 1);
   }
-  serializer_ = std::make_unique<BinarySerializer>();
-  switch (cfg_.summarizer) {
-    case ProcessConfig::SummarizerKind::kScc:
-      summarizer_ = std::make_unique<SccSummarizer>();
-      break;
-    case ProcessConfig::SummarizerKind::kIncremental:
-      summarizer_ = std::make_unique<IncrementalSummarizer>();
-      break;
-    case ProcessConfig::SummarizerKind::kBfs:
-      summarizer_ = std::make_unique<BfsSummarizer>();
-      break;
-  }
   batcher_ = std::make_unique<Batcher>(cfg_, env_);
   Detector::Hooks hooks;
   hooks.send_cdm = [this](ProcessId dst, const CdmMsg& msg) { send(dst, msg); };
@@ -67,7 +57,7 @@ Process::Process(ProcessId pid, const ProcessConfig& cfg, Env& env, Incarnation 
     store_ = std::make_unique<SnapshotStore>(cfg_.snapshot_dir, cfg_.snapshot_retain);
   }
   pipeline_ = std::make_unique<SnapshotPipeline>(
-      pid_, cfg_, env_, *serializer_, *summarizer_, store_.get(),
+      pid_, cfg_, env_, store_.get(),
       [this](SnapshotPipeline::Stages s) { adopt_summary(std::move(s)); });
 }
 
@@ -743,12 +733,12 @@ void Process::adopt_summary(SnapshotPipeline::Stages s) {
 void Process::take_snapshot() {
   // Discard any in-flight pipeline pass: its (older-capture) result must not
   // publish over the one this call is about to install — and the wait also
-  // keeps the summarizer/store single-threaded.
+  // keeps the store single-threaded.
   pipeline_->cancel_in_flight();
   std::uint64_t version = 0;
   SimTime vt_start = 0;
-  SnapshotData snap = capture_for_snapshot(&version, &vt_start);
-  adopt_summary(pipeline_->run_now(std::move(snap), version, vt_start));
+  const SnapshotData snap = capture_for_snapshot(&version, &vt_start);
+  adopt_summary(pipeline_->run_now(snap, version, vt_start));
 }
 
 void Process::request_snapshot() {
@@ -767,54 +757,46 @@ void Process::request_snapshot() {
   pipeline_->submit(std::move(snap), version, vt_start);
 }
 
-bool Process::recover_summary_from_store() {
-  if (!store_) return false;
+std::optional<SnapshotData> Process::install_stored_summary() {
+  if (!store_) return std::nullopt;
   const auto stored = store_->read_latest(pid_);
-  if (!stored) return false;
+  if (!stored) return std::nullopt;
   SnapshotData snap;
   try {
-    snap = serializer_->deserialize(stored->bytes);
+    snap = BinarySerializer{}.deserialize(stored->bytes);
   } catch (const DecodeError& e) {
     ADGC_ERROR("P" << pid_ << " stored snapshot undecodable: " << e.what());
-    return false;
+    return std::nullopt;
   }
-  SummarizedGraph sum = summarizer_->summarize(snap);
+  SummarizedGraph sum = SccSummarizer{}.summarize(snap);
   sum.version = stored->version;
   snapshot_version_ = std::max(snapshot_version_, stored->version);
   summary_ = std::make_shared<const SummarizedGraph>(std::move(sum));
   detector_->set_snapshot(summary_);
-  ADGC_INFO("P" << pid_ << " recovered snapshot v" << stored->version << " from disk");
+  return snap;
+}
+
+bool Process::recover_summary_from_store() {
+  if (!install_stored_summary()) return false;
+  ADGC_INFO("P" << pid_ << " recovered snapshot v" << summary_->version << " from disk");
   return true;
 }
 
 bool Process::recover_from_store() {
-  if (!store_) return false;
-  const auto stored = store_->read_latest(pid_);
-  if (!stored) return false;
-  SnapshotData snap;
-  try {
-    snap = serializer_->deserialize(stored->bytes);
-  } catch (const DecodeError& e) {
-    ADGC_ERROR("P" << pid_ << " stored snapshot undecodable: " << e.what());
-    return false;
-  }
-  restore_snapshot(snap, heap_, stubs_, scions_, env_.now());
+  // The restored live state IS the state this snapshot describes, so handing
+  // its summary to the detector keeps in-flight detections consistent.
+  const std::optional<SnapshotData> snap = install_stored_summary();
+  if (!snap) return false;
+  restore_snapshot(*snap, heap_, stubs_, scions_, env_.now());
   // Rebuild the NewSetStubs contact set from the restored stub table; owners
   // of references we no longer hold will expire the orphan scions themselves.
   for (const auto& [ref, stub] : stubs_) {
     (void)ref;
     contacts_.insert(stub.target.owner);
   }
-  // The restored live state IS the state this snapshot describes, so handing
-  // its summary to the detector keeps in-flight detections consistent.
-  SummarizedGraph sum = summarizer_->summarize(snap);
-  sum.version = stored->version;
-  snapshot_version_ = std::max(snapshot_version_, stored->version);
-  summary_ = std::make_shared<const SummarizedGraph>(std::move(sum));
-  detector_->set_snapshot(summary_);
   ADGC_INFO("P" << pid_ << " (inc " << incarnation_ << ") recovered heap="
                 << heap_.size() << " stubs=" << stubs_.size() << " scions="
-                << scions_.size() << " from snapshot v" << stored->version);
+                << scions_.size() << " from snapshot v" << summary_->version);
   return true;
 }
 
@@ -1005,7 +987,7 @@ void Process::run_dcda_scan() {
   health.peers = &peer_health_;
   health.not_before = &candidate_not_before_;
   const std::vector<RefId> cands = select_candidates(
-      scions_, summary_.get(), detector_->manager(), cfg_, env_.now(), scan_seq_++,
+      scions_, summary_.get(), detector_->manager(), cfg_, env_.now(),
       cfg_.adaptive_faults ? &health : nullptr,
       cfg_.adaptive_faults ? &env_.metrics() : nullptr);
   for (RefId c : cands) {

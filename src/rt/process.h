@@ -43,9 +43,7 @@
 #include "src/net/transport.h"
 #include "src/rt/heap.h"
 #include "src/snapshot/pipeline.h"
-#include "src/snapshot/serializer.h"
 #include "src/snapshot/snapshot_store.h"
-#include "src/snapshot/summarizer.h"
 
 namespace adgc {
 
@@ -111,12 +109,13 @@ class Process {
   // ---------- collector driving (the runtimes call these on timers; tests
   // may call them directly for precise interleavings) ----------
   void run_lgc();
-  /// Synchronous snapshot: capture, serialize, persist and summarize inline,
-  /// publishing before returning. Cancels any in-flight pipeline pass first
-  /// (its stale result is discarded), so tests and the model checker see
-  /// deterministic, immediately-visible summaries.
+  /// Synchronous snapshot: capture, persist (when a store is configured)
+  /// and summarize inline, publishing before returning. Cancels any
+  /// in-flight pipeline pass first (its stale result is discarded), so
+  /// tests and the model checker see deterministic, immediately-visible
+  /// summaries.
   void take_snapshot();
-  /// Pipelined snapshot: captures synchronously, then serializes/persists/
+  /// Pipelined snapshot: captures synchronously, then persists and
   /// summarizes off the critical path, publishing the summary back through
   /// an Env completion event (the detector keeps the previous version
   /// meanwhile). Single-in-flight: a request while one is in flight is
@@ -285,6 +284,10 @@ class Process {
   /// Publish hop of both snapshot paths: installs the summary, hands it to
   /// the detector, and re-captures if a pipelined request was coalesced.
   void adopt_summary(SnapshotPipeline::Stages s);
+  /// Shared head of both store-recovery paths: reads and decodes the latest
+  /// stored snapshot, installs its summary as the detector's view and
+  /// returns the decoded snapshot (nullopt: no store, or nothing usable).
+  std::optional<SnapshotData> install_stored_summary();
   /// Shared head of both snapshot paths: captures and stamps the version.
   SnapshotData capture_for_snapshot(std::uint64_t* version_out, SimTime* vt_out);
 
@@ -337,17 +340,14 @@ class Process {
   std::function<void(ProcessId)> self_evicted_hook_;
   std::function<void(ProcessId)> peer_evicted_hook_;
 
-  std::unique_ptr<Serializer> serializer_;
-  std::unique_ptr<Summarizer> summarizer_;
   std::unique_ptr<SnapshotStore> store_;  // null when persistence is off
   std::shared_ptr<const SummarizedGraph> summary_;
   std::uint64_t snapshot_version_ = 0;
 
   std::unique_ptr<Detector> detector_;
-  /// Declared after the serializer/summarizer/store it borrows: destroyed
-  /// first, which joins the background worker before its inputs die.
+  /// Declared after the store it borrows: destroyed first, which joins the
+  /// background worker before its inputs die.
   std::unique_ptr<SnapshotPipeline> pipeline_;
-  std::uint64_t scan_seq_ = 0;  // candidate round-robin cursor
   bool started_ = false;
 };
 

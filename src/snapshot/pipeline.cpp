@@ -5,6 +5,8 @@
 #include <utility>
 
 #include "src/common/log.h"
+#include "src/snapshot/serializer.h"
+#include "src/snapshot/summarizer.h"
 
 namespace adgc {
 
@@ -20,13 +22,10 @@ std::uint64_t wall_us_since(std::chrono::steady_clock::time_point t0) {
 }  // namespace
 
 SnapshotPipeline::SnapshotPipeline(ProcessId pid, const ProcessConfig& cfg, Env& env,
-                                   Serializer& serializer, Summarizer& summarizer,
                                    SnapshotStore* store, PublishFn publish)
     : pid_(pid),
       cfg_(cfg),
       env_(env),
-      serializer_(serializer),
-      summarizer_(summarizer),
       store_(store),
       publish_(std::move(publish)),
       ctl_(std::make_shared<Ctl>()) {}
@@ -58,32 +57,29 @@ bool SnapshotPipeline::consume_pending() {
   return std::exchange(ctl_->pending, false);
 }
 
-SnapshotPipeline::Stages SnapshotPipeline::run_now(SnapshotData snap,
+SnapshotPipeline::Stages SnapshotPipeline::run_now(const SnapshotData& snap,
                                                    std::uint64_t version,
                                                    SimTime requested_at) {
   Stages out;
   out.version = version;
   out.requested_at = requested_at;
   Metrics& m = env_.metrics();
-  if (cfg_.roundtrip_snapshots || store_) {
+  if (store_) {
     const auto wall0 = std::chrono::steady_clock::now();
     const SimTime vt0 = env_.now();
-    const std::vector<std::byte> bytes = serializer_.serialize(snap);
+    const std::vector<std::byte> bytes = BinarySerializer{}.serialize(snap);
     out.bytes = bytes.size();
     m.snapshot_bytes.add(bytes.size());
-    if (store_) {
-      try {
-        store_->write(pid_, version, bytes);
-      } catch (const std::exception& e) {
-        // Surface, don't abort: the summary is still valid for detection,
-        // only durability suffered (recovery falls back to an older version).
-        out.persisted = false;
-        m.snapshot_persist_failures.add();
-        ADGC_ERROR("P" << pid_ << " snapshot v" << version
-                       << " persist failed: " << e.what());
-      }
+    try {
+      store_->write(pid_, version, bytes);
+    } catch (const std::exception& e) {
+      // Surface, don't abort: the summary is still valid for detection,
+      // only durability suffered (recovery falls back to an older version).
+      out.persisted = false;
+      m.snapshot_persist_failures.add();
+      ADGC_ERROR("P" << pid_ << " snapshot v" << version
+                     << " persist failed: " << e.what());
     }
-    if (cfg_.roundtrip_snapshots) snap = serializer_.deserialize(bytes);
     m.snapshot_persist_us.record(wall_us_since(wall0));
     obs::emit(env_.trace(),
               {env_.now(), pid_, obs::EventType::kSnapshotPersist,
@@ -92,7 +88,7 @@ SnapshotPipeline::Stages SnapshotPipeline::run_now(SnapshotData snap,
   }
   const auto wall1 = std::chrono::steady_clock::now();
   const SimTime vt1 = env_.now();
-  SummarizedGraph sum = summarizer_.summarize(snap);
+  SummarizedGraph sum = SccSummarizer{}.summarize(snap);
   sum.version = version;
   m.snapshot_summarize_us.record(wall_us_since(wall1));
   obs::emit(env_.trace(),
@@ -114,7 +110,7 @@ void SnapshotPipeline::submit(SnapshotData snap, std::uint64_t version,
     // Deterministic simulator: the stages run inline (no concurrency to
     // model); only the publication is deferred, as a self-event the sim —
     // and the model checker's explicit schedule — orders like any other.
-    Stages s = run_now(std::move(snap), version, requested_at);
+    Stages s = run_now(snap, version, requested_at);
     auto ctl = ctl_;
     env_.schedule(cfg_.snapshot_pipeline_latency_us,
                   [self = this, ctl, s = std::move(s), gen]() mutable {
@@ -155,7 +151,7 @@ void SnapshotPipeline::worker_loop() {
     }
     Stages s;
     try {
-      s = run_now(std::move(snap), version, requested_at);
+      s = run_now(snap, version, requested_at);
     } catch (const std::exception& e) {
       // A stage threw past run_now's own handling (serializer bug): report
       // and deliver an empty result so the in-flight state still clears.
@@ -205,8 +201,8 @@ void SnapshotPipeline::cancel_in_flight() {
   ctl_->has_job = false;
   ctl_->job_snap = {};
   // Let a mid-stage worker finish its pass (bounded); its completion is
-  // already invalidated above. The wait also serializes summarizer/store
-  // access for the synchronous caller.
+  // already invalidated above. The wait also serializes store access for
+  // the synchronous caller.
   ctl_->cv.wait(lk, [&] { return !ctl_->working; });
   ctl_->busy = false;
 }

@@ -1,5 +1,7 @@
 // Asynchronous snapshot pipeline: serialize → store-write → summarize off
-// the mutator path.
+// the mutator path. The first two stages run only when a SnapshotStore is
+// configured; the live path summarizes the captured SnapshotData directly
+// and never decodes it.
 //
 // The paper's detector is built to tolerate stale views (§4: summarization
 // is "performed, lazily and incrementally"; the IC rules reject anything the
@@ -39,10 +41,8 @@
 
 #include "src/common/config.h"
 #include "src/net/transport.h"
-#include "src/snapshot/serializer.h"
 #include "src/snapshot/snapshot.h"
 #include "src/snapshot/snapshot_store.h"
-#include "src/snapshot/summarizer.h"
 
 namespace adgc {
 
@@ -53,19 +53,20 @@ class SnapshotPipeline {
   /// its atomic rename-publish failed (surfaced via the
   /// snapshot_persist_failures counter and the kSnapshotPersist trace arg —
   /// the summary still publishes, the detector does not need the disk).
+  /// Without a store nothing is serialized: `persisted` stays true and
+  /// `bytes` 0.
   struct Stages {
     std::uint64_t version = 0;
     SimTime requested_at = 0;  // Env clock at capture
     std::shared_ptr<const SummarizedGraph> summary;
     bool persisted = true;
-    std::uint64_t bytes = 0;  // serialized size (0 when serialization is off)
+    std::uint64_t bytes = 0;  // serialized size (0 without a store)
   };
 
   /// Publish hop, invoked on the owning process's execution context.
   using PublishFn = std::function<void(Stages)>;
 
   SnapshotPipeline(ProcessId pid, const ProcessConfig& cfg, Env& env,
-                   Serializer& serializer, Summarizer& summarizer,
                    SnapshotStore* store, PublishFn publish);
   /// Poisons the control block and joins the worker; a completion already
   /// queued on the actor thread then no-ops. Safe to run mid-flight (crash).
@@ -88,13 +89,12 @@ class SnapshotPipeline {
 
   /// Runs the stages synchronously on the caller's thread (the legacy
   /// take_snapshot path) and returns the result for immediate adoption.
-  Stages run_now(SnapshotData snap, std::uint64_t version, SimTime requested_at);
+  Stages run_now(const SnapshotData& snap, std::uint64_t version, SimTime requested_at);
 
   /// Discards any in-flight work: waits (real_time Envs) for the worker to
   /// finish its current job, drops an unstarted one, clears `pending`, and
   /// invalidates not-yet-delivered completions. Called by the synchronous
-  /// snapshot path so stage state (summarizer memo, store) is never touched
-  /// from two threads.
+  /// snapshot path so the store is never touched from two threads.
   void cancel_in_flight();
 
  private:
@@ -123,8 +123,6 @@ class SnapshotPipeline {
   ProcessId pid_;
   const ProcessConfig& cfg_;
   Env& env_;
-  Serializer& serializer_;
-  Summarizer& summarizer_;
   SnapshotStore* store_;  // null when persistence is off
   PublishFn publish_;
   std::shared_ptr<Ctl> ctl_;

@@ -15,7 +15,7 @@
 
 namespace adgc {
 
-SummarizedGraph SccSummarizer::summarize(const SnapshotData& snap) {
+SummarizedGraph SccSummarizer::summarize(const SnapshotData& snap) const {
   SummarizedGraph out;
   detail::init_summary_entries(snap, out);
   detail::SnapshotIndex ix(snap);

@@ -71,6 +71,8 @@ struct ScionSummary {
   ProcessId holder = kNoProcess;  // process holding the matching stub
   ObjectSeq target = kNoObject;
   std::vector<RefId> stubs_from;  // sorted
+
+  friend bool operator==(const ScionSummary&, const ScionSummary&) = default;
 };
 
 struct StubSummary {
@@ -79,6 +81,8 @@ struct StubSummary {
   ObjectId target;
   bool local_reach = false;
   std::vector<RefId> scions_to;  // sorted
+
+  friend bool operator==(const StubSummary&, const StubSummary&) = default;
 };
 
 struct SummarizedGraph {
@@ -87,6 +91,8 @@ struct SummarizedGraph {
   std::uint64_t version = 0;  // monotonically increasing per process
   std::unordered_map<RefId, ScionSummary> scions;
   std::unordered_map<RefId, StubSummary> stubs;
+
+  friend bool operator==(const SummarizedGraph&, const SummarizedGraph&) = default;
 
   const ScionSummary* scion(RefId ref) const {
     auto it = scions.find(ref);

@@ -76,7 +76,7 @@ void finalize_summary(SummarizedGraph& out) {
   }
 }
 
-SummarizedGraph BfsSummarizer::summarize(const SnapshotData& snap) {
+SummarizedGraph BfsSummarizer::summarize(const SnapshotData& snap) const {
   SummarizedGraph out;
   detail::init_summary_entries(snap, out);
   detail::SnapshotIndex ix(snap);

@@ -51,6 +51,11 @@ TEST(SnapshotPipelineSim, DetectorKeepsPreviousSummaryWhileInFlight) {
       << "stale view must stay installed until the new one publishes";
   rt.run_for(2'000);
   EXPECT_EQ(rt.proc(0).current_summary()->version, 2u);
+
+  // No snapshot_dir: neither path serializes, persists or decodes.
+  const Metrics m = rt.total_metrics();
+  EXPECT_EQ(m.snapshot_bytes.get(), 0u);
+  EXPECT_EQ(m.snapshot_persist_us.count(), 0u);
 }
 
 TEST(SnapshotPipelineSim, BurstCoalescesToOneFollowUp) {

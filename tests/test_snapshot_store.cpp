@@ -7,7 +7,9 @@
 
 #include "src/rt/runtime.h"
 #include "src/sim/harness.h"
+#include "src/snapshot/serializer.h"
 #include "src/snapshot/snapshot_store.h"
+#include "src/snapshot/summarizer.h"
 
 namespace adgc {
 namespace {
@@ -178,9 +180,24 @@ TEST_F(StoreTest, ProcessPersistsAndRecovers) {
   const ObjectId b{1, rt.proc(1).create_object()};
   rt.proc(0).add_root(a.seq);
   const RefId ref = rt.link(a, b);
+  rt.link(b, a);
   rt.proc(1).run_lgc();
   rt.proc(1).take_snapshot();
-  ASSERT_NE(rt.proc(1).current_summary(), nullptr);
+  const auto live = rt.proc(1).current_summary();
+  ASSERT_NE(live, nullptr);
+  EXPECT_GT(rt.total_metrics().snapshot_bytes.get(), 0u);
+
+  // The live summary was built from the capture, never from the stored
+  // bytes; they must still decode to the snapshot it summarized.
+  SnapshotStore probe(dir_, cfg.proc.snapshot_retain);
+  const auto stored = probe.read_latest(1);
+  ASSERT_TRUE(stored.has_value());
+  EXPECT_EQ(stored->version, live->version);
+  SummarizedGraph decoded =
+      BfsSummarizer{}.summarize(BinarySerializer{}.deserialize(stored->bytes));
+  ASSERT_FALSE(decoded.stubs.empty());
+  decoded.version = live->version;
+  EXPECT_TRUE(decoded == *live);
 
   // A "restarted" runtime over the same store directory: before taking any
   // snapshot of its own, P1 recovers its summarized view from disk.

@@ -6,7 +6,7 @@
 //
 //   adgc_sim [--procs=N] [--seed=S] [--loss=P] [--dup=P]
 //            [--steps=K] [--rounds=R] [--settle-ms=T]
-//            [--summarizer=bfs|scc] [--no-dcda] [--rmi-edges]
+//            [--no-dcda] [--rmi-edges]
 //            [--crash-every=R] [--verbose]
 //   adgc_sim --chaos [--seed=S] [--loss=P] [--dup=P]
 //   adgc_sim --compare-backoff [--seed=S] [--loss=P]
@@ -49,7 +49,6 @@ struct Options {
   int steps = 20;
   int rounds = 40;
   SimTime settle_ms = 30'000;
-  bool use_scc = true;
   bool dcda = true;
   bool rmi_edges = false;
   int crash_every = 0;  // 0 = no fault injection
@@ -76,7 +75,6 @@ constexpr cli::FlagSpec kWorkloadFlags[] = {
     {"--steps", "K", "mutator steps per round (default 20)"},
     {"--rounds", "R", "workload rounds before settling (default 40)"},
     {"--settle-ms", "T", "simulated settle time after mutation stops (default 30000)"},
-    {"--summarizer", "X", "snapshot summarizer: bfs or scc (default scc)"},
     {"--no-dcda", nullptr, "disable the cycle detector (acyclic DGC only)"},
     {"--rmi-edges", nullptr,
      "mutate references through RMI side effects; needs --loss=0\n"
@@ -181,14 +179,6 @@ Options parse(int argc, char** argv) {
       opt.rounds = std::atoi(v.c_str());
     } else if (parse_flag(argv[i], "--settle-ms", &v)) {
       opt.settle_ms = std::strtoull(v.c_str(), nullptr, 10);
-    } else if (parse_flag(argv[i], "--summarizer", &v)) {
-      if (v == "bfs") {
-        opt.use_scc = false;
-      } else if (v == "scc") {
-        opt.use_scc = true;
-      } else {
-        usage(argv[0]);
-      }
     } else if (parse_flag(argv[i], "--no-dcda", &v)) {
       opt.dcda = false;
     } else if (parse_flag(argv[i], "--crash-every", &v)) {
@@ -297,8 +287,6 @@ int main(int argc, char** argv) {
   if (opt.snapshot_pipeline_latency_us > 0) {
     cfg.proc.snapshot_pipeline_latency_us = opt.snapshot_pipeline_latency_us;
   }
-  cfg.proc.summarizer = opt.use_scc ? ProcessConfig::SummarizerKind::kScc
-                                    : ProcessConfig::SummarizerKind::kBfs;
   std::filesystem::path crash_dir;
   if (opt.crash_every > 0) {
     crash_dir = std::filesystem::temp_directory_path() /
