@@ -26,7 +26,6 @@ int main(int argc, char** argv) {
 
   RuntimeConfig cfg = sim::manual_config(4711);
   cfg.proc.snapshot_dir = dir.string();
-  cfg.proc.snapshot_retain = 2;
 
   RefId candidate = kNoRef;
   {

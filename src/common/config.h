@@ -82,8 +82,6 @@ struct ProcessConfig {
   /// process can recover its summarized view from disk after a restart.
   /// When empty, snapshots are summarized in memory and never serialized.
   std::string snapshot_dir;
-  /// Snapshot files kept per process when persisting.
-  std::size_t snapshot_retain = 2;
   /// Run serialize → store-write → summarize off the mutator path: the
   /// periodic snapshot tick captures synchronously, hands the capture to the
   /// SnapshotPipeline, and the summary publishes back later while the

@@ -54,7 +54,7 @@ Process::Process(ProcessId pid, const ProcessConfig& cfg, Env& env, Incarnation 
   detector_ = std::make_unique<Detector>(pid_, cfg_, env_.metrics(), std::move(hooks));
   detector_->set_trace(env_.trace());
   if (!cfg_.snapshot_dir.empty()) {
-    store_ = std::make_unique<SnapshotStore>(cfg_.snapshot_dir, cfg_.snapshot_retain);
+    store_ = std::make_unique<SnapshotStore>(cfg_.snapshot_dir);
   }
   pipeline_ = std::make_unique<SnapshotPipeline>(
       pid_, cfg_, env_, store_.get(),
@@ -221,7 +221,6 @@ ExportedRef Process::begin_third_party_export(RefId held, ProcessId receiver,
   hs.msg.holder = receiver;
   hs.msg.handshake = hs.id;
   hs.last_sent = env_.now();
-  pin_stub(held);
   send(hs.owner, hs.msg);
   metrics().add_scion_sent.add();
   const std::uint64_t id = hs.id;
@@ -246,7 +245,6 @@ void Process::retry_handshake(std::uint64_t id) {
                    << " AddScion retries (ref " << ref_to_string(hs.msg.ref) << ")");
     metrics().add_scion_abandoned.add();
     const std::uint64_t call_id = hs.call_id;
-    unpin_stub(hs.pinned_stub);
     handshakes_.erase(it);
     abandon_invoke(call_id);
     return;
@@ -262,11 +260,7 @@ void Process::abandon_invoke(std::uint64_t call_id) {
   if (it == pending_invokes_.end()) return;
   // Tear down any other handshakes of the same call.
   for (std::uint64_t hs_id : it->second.waiting) {
-    auto hit = handshakes_.find(hs_id);
-    if (hit != handshakes_.end()) {
-      unpin_stub(hit->second.pinned_stub);
-      handshakes_.erase(hit);
-    }
+    handshakes_.erase(hs_id);
   }
   pending_invokes_.erase(it);
 }
@@ -330,19 +324,6 @@ void Process::hold_existing_ref(ObjectSeq from, RefId ref) {
   if (!stub) throw std::invalid_argument("hold_existing_ref: no such stub");
   ++stub->holders;
   heap_.add_remote_field(from, ref);
-}
-
-void Process::pin_stub(RefId ref) {
-  if (++pinned_[ref] == 1) pinned_set_.insert(ref);
-}
-
-void Process::unpin_stub(RefId ref) {
-  auto it = pinned_.find(ref);
-  if (it == pinned_.end()) return;
-  if (--it->second == 0) {
-    pinned_.erase(it);
-    pinned_set_.erase(ref);
-  }
 }
 
 // --------------------------------------------------------------- delivery
@@ -560,7 +541,6 @@ void Process::on_add_scion_ack(ProcessId src, const AddScionAckMsg& msg) {
     peer_health_.on_response(src, env_.now() - it->second.last_sent, env_.now());
   }
   const std::uint64_t call_id = it->second.call_id;
-  unpin_stub(it->second.pinned_stub);
   handshakes_.erase(it);
   auto pit = pending_invokes_.find(call_id);
   if (pit != pending_invokes_.end()) {
@@ -639,7 +619,11 @@ void Process::run_lgc() {
       metrics().scions_deleted_acyclic.add();
     }
   }
-  const lgc::Result res = lgc::run(heap_, stubs_, scions_, pinned_set_, env_.now());
+  // A stub being re-exported through a pending handshake stays until the
+  // owner acks the new scion.
+  std::set<RefId> pinned;
+  for (const auto& [id, hs] : handshakes_) pinned.insert(hs.pinned_stub);
+  const lgc::Result res = lgc::run(heap_, stubs_, scions_, pinned, env_.now());
   metrics().lgc_runs.add();
   metrics().objects_reclaimed.add(res.objects_reclaimed);
   metrics().stubs_deleted.add(res.stubs_deleted);
@@ -921,7 +905,8 @@ void Process::evict_peer(ProcessId peer) {
 
   // 3. Export handshakes whose owner is the dead peer can never be acked;
   //    abandon them — and the invocations waiting on them — now instead of
-  //    grinding through the retry ladder.
+  //    grinding through the retry ladder. Their held stubs target the dead
+  //    peer, so no stub step 4 retires stays pinned for the LGC.
   std::vector<std::pair<std::uint64_t, std::uint64_t>> doomed;  // (handshake, call)
   for (const auto& [id, hs] : handshakes_) {
     if (hs.owner == peer) doomed.emplace_back(id, hs.call_id);
@@ -930,7 +915,6 @@ void Process::evict_peer(ProcessId peer) {
     auto it = handshakes_.find(id);
     if (it == handshakes_.end()) continue;  // sibling teardown got it first
     metrics().add_scion_abandoned.add();
-    unpin_stub(it->second.pinned_stub);
     handshakes_.erase(it);
     abandon_invoke(call_id);
   }
@@ -948,8 +932,6 @@ void Process::evict_peer(ProcessId peer) {
       auto& rf = obj.remote_fields;
       rf.erase(std::remove(rf.begin(), rf.end(), ref), rf.end());
     }
-    pinned_.erase(ref);
-    pinned_set_.erase(ref);
     stubs_.erase(ref);
     metrics().eviction_stubs_retired.add();
     metrics().stubs_deleted.add();

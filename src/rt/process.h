@@ -224,7 +224,7 @@ class Process {
     std::uint64_t call_id = 0;   // the invocation waiting on this handshake
     AddScionMsg msg;
     ProcessId owner = kNoProcess;
-    RefId pinned_stub = kNoRef;  // held stub pinned for the duration
+    RefId pinned_stub = kNoRef;  // held stub the LGC keeps for the duration
     int retries = 0;
     SimTime last_sent = 0;       // RTT sample baseline for the ack
   };
@@ -275,8 +275,6 @@ class Process {
   void abandon_invoke(std::uint64_t call_id);
   void maybe_flush_invoke(std::uint64_t call_id);
   void really_send_invoke(PendingInvoke&& inv);
-  void pin_stub(RefId ref);
-  void unpin_stub(RefId ref);
 
   // DCDA hook.
   void on_cycle_found(DetectionId id, RefId candidate, std::uint64_t expected_ic);
@@ -321,8 +319,6 @@ class Process {
   std::map<std::uint64_t, std::pair<ProcessId, SimTime>> inflight_calls_;
   std::map<RefId, std::uint32_t> candidate_failures_;   // consecutive timeouts
   std::map<RefId, SimTime> candidate_not_before_;       // re-launch backoff
-  std::map<RefId, std::uint32_t> pinned_;  // stub pin counts
-  std::set<RefId> pinned_set_;             // cached key set for the LGC
 
   /// Highest incarnation ever seen (envelope src_inc) per peer: the value an
   /// eviction tombstones, so the zombie's *current* incarnation — not just

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <filesystem>
 #include <thread>
 #include <vector>
 
@@ -15,6 +14,7 @@
 #include "src/rt/runtime.h"
 #include "src/rt/threaded_runtime.h"
 #include "src/sim/harness.h"
+#include "tests/test_util.h"
 
 namespace adgc {
 namespace {
@@ -24,14 +24,6 @@ AddScionAckMsg ack(std::uint64_t handshake) {
   m.ref = make_ref_id(1, handshake);
   m.handshake = handshake;
   return m;
-}
-
-/// Fresh per-test snapshot directory under the gtest temp root.
-std::string snap_dir(const std::string& tag) {
-  const std::filesystem::path dir =
-      std::filesystem::path(::testing::TempDir()) / ("adgc_batch_" + tag);
-  std::filesystem::remove_all(dir);
-  return dir.string();
 }
 
 NewSetStubsMsg big_nss(std::size_t refs) {
@@ -327,7 +319,7 @@ TEST(BatcherSim, PriorityInvokeFlushesOpenBatchFirst) {
 
 TEST(BatcherSim, InFlightBatchFromDeadIncarnationDroppedWhole) {
   RuntimeConfig cfg = sim::manual_config(23);
-  cfg.proc.snapshot_dir = snap_dir("stale");
+  cfg.proc.snapshot_dir = test::snap_dir();
   Runtime rt(2, cfg);
   const ObjectId a{0, rt.proc(0).create_object()};
   rt.proc(0).add_root(a.seq);
@@ -352,7 +344,7 @@ TEST(BatcherSim, InFlightBatchFromDeadIncarnationDroppedWhole) {
 
 TEST(BatcherSim, OpenBatchDiesWithCrashNoDuplicateApplication) {
   RuntimeConfig cfg = sim::manual_config(24);
-  cfg.proc.snapshot_dir = snap_dir("crash");
+  cfg.proc.snapshot_dir = test::snap_dir();
   Runtime rt(2, cfg);
   const ObjectId a{0, rt.proc(0).create_object()};
   rt.proc(0).add_root(a.seq);
@@ -374,7 +366,7 @@ TEST(BatcherSim, OpenBatchDiesWithCrashNoDuplicateApplication) {
 
 TEST(BatcherSim, PeerCrashDiscardsOpenBatchTowardIt) {
   RuntimeConfig cfg = sim::manual_config(25);
-  cfg.proc.snapshot_dir = snap_dir("peercrash");
+  cfg.proc.snapshot_dir = test::snap_dir();
   Runtime rt(2, cfg);
   const ObjectId a{0, rt.proc(0).create_object()};
   rt.proc(0).add_root(a.seq);

@@ -4,33 +4,24 @@
 // per seed — plus the backoff-vs-fixed retry-traffic comparison.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-
-#include "src/sim/chaos_sweep.h"
+#include "src/sim/fault_sweep.h"
+#include "tests/test_util.h"
 
 namespace adgc {
 namespace {
-
-/// Nightly CI scales the sweep without a rebuild: ADGC_SOAK_MULTIPLIER=N
-/// appends N extra batches of 10 seeds each.
-int soak_multiplier() {
-  const char* env = std::getenv("ADGC_SOAK_MULTIPLIER");
-  if (!env) return 1;
-  const int m = std::atoi(env);
-  return m > 0 ? m : 1;
-}
 
 class ChaosSweep : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ChaosSweep, SurvivesComposedFaults) {
   sim::ChaosSweepParams p;
   p.seed = GetParam();
-  const sim::ChaosSweepResult res = sim::run_chaos_sweep(p);
+  const sim::SweepResult res = sim::run_chaos_sweep(p);
   EXPECT_FALSE(res.live_lost) << "SAFETY seed=" << p.seed << ": " << res.detail;
-  EXPECT_TRUE(res.cycles_collected)
+  EXPECT_TRUE(res.garbage_collected)
       << "COMPLETENESS seed=" << p.seed << ": " << res.detail;
+  EXPECT_FALSE(res.stranded) << "seed=" << p.seed << ": " << res.detail;
   EXPECT_EQ(res.crashes, res.recovered) << "a restart failed to recover";
-  EXPECT_GT(res.messages_lost, 0u) << "the storm did not actually bite";
+  EXPECT_GT(res.totals.messages_lost.get(), 0u) << "the storm did not actually bite";
 }
 
 // The acceptance bar: ≥10 seeds at 10% loss / 5% duplication with rotating
@@ -38,13 +29,15 @@ TEST_P(ChaosSweep, SurvivesComposedFaults) {
 INSTANTIATE_TEST_SUITE_P(TenSeeds, ChaosSweep,
                          ::testing::Range<std::uint64_t>(1, 11));
 
+// Nightly CI widens the sweep: ADGC_SOAK_MULTIPLIER=N adds N-1 batches of
+// ten seeds from 1000 on.
 TEST(ChaosSweep, NightlyExtraSeeds) {
-  const int extra_batches = soak_multiplier() - 1;
+  const int extra_batches = test::soak_multiplier() - 1;
   for (int b = 0; b < extra_batches; ++b) {
     for (std::uint64_t s = 0; s < 10; ++s) {
       sim::ChaosSweepParams p;
       p.seed = 1000 + static_cast<std::uint64_t>(b) * 10 + s;
-      const sim::ChaosSweepResult res = sim::run_chaos_sweep(p);
+      const sim::SweepResult res = sim::run_chaos_sweep(p);
       ASSERT_TRUE(res.ok()) << "seed=" << p.seed << ": " << res.detail;
     }
   }
@@ -61,13 +54,13 @@ TEST(ChaosSweep, DegradationOraclesHoldWithAndWithoutBatching) {
     sim::ChaosSweepParams p;
     p.seed = 3;
     p.batching = batching;
-    const sim::ChaosSweepResult res = sim::run_chaos_sweep(p);
+    const sim::SweepResult res = sim::run_chaos_sweep(p);
     EXPECT_FALSE(res.live_lost)
         << "SAFETY batching=" << batching << ": " << res.detail;
-    EXPECT_TRUE(res.cycles_collected)
+    EXPECT_TRUE(res.garbage_collected)
         << "COMPLETENESS batching=" << batching << ": " << res.detail;
     EXPECT_EQ(res.crashes, res.recovered) << "batching=" << batching;
-    EXPECT_GT(res.messages_lost, 0u) << "batching=" << batching;
+    EXPECT_GT(res.totals.messages_lost.get(), 0u) << "batching=" << batching;
   }
 }
 
@@ -82,13 +75,13 @@ TEST(ChaosSweep, DegradationOraclesHoldWithAndWithoutPipeline) {
     sim::ChaosSweepParams p;
     p.seed = 7;
     p.snapshot_pipeline = pipeline;
-    const sim::ChaosSweepResult res = sim::run_chaos_sweep(p);
+    const sim::SweepResult res = sim::run_chaos_sweep(p);
     EXPECT_FALSE(res.live_lost)
         << "SAFETY snapshot_pipeline=" << pipeline << ": " << res.detail;
-    EXPECT_TRUE(res.cycles_collected)
+    EXPECT_TRUE(res.garbage_collected)
         << "COMPLETENESS snapshot_pipeline=" << pipeline << ": " << res.detail;
     EXPECT_EQ(res.crashes, res.recovered) << "snapshot_pipeline=" << pipeline;
-    EXPECT_GT(res.messages_lost, 0u) << "snapshot_pipeline=" << pipeline;
+    EXPECT_GT(res.totals.messages_lost.get(), 0u) << "snapshot_pipeline=" << pipeline;
   }
 }
 
@@ -102,10 +95,10 @@ TEST(ChaosSweep, EvictionArmedMatchesDisabledBaseline) {
     sim::ChaosSweepParams p;
     p.seed = 5;
     p.peer_death_timeout_us = timeout_us;
-    const sim::ChaosSweepResult res = sim::run_chaos_sweep(p);
+    const sim::SweepResult res = sim::run_chaos_sweep(p);
     EXPECT_FALSE(res.live_lost)
         << "SAFETY eviction_timeout_us=" << timeout_us << ": " << res.detail;
-    EXPECT_TRUE(res.cycles_collected)
+    EXPECT_TRUE(res.garbage_collected)
         << "COMPLETENESS eviction_timeout_us=" << timeout_us << ": " << res.detail;
     EXPECT_EQ(res.crashes, res.recovered) << "eviction_timeout_us=" << timeout_us;
   }

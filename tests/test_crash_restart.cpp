@@ -17,47 +17,26 @@
 //     concurrency.
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <string>
 
 #include "src/rt/threaded_runtime.h"
-#include "src/sim/crash_sweep.h"
+#include "src/sim/fault_sweep.h"
 #include "src/sim/harness.h"
 #include "src/sim/scenarios.h"
+#include "tests/test_util.h"
 
 namespace adgc {
 namespace {
 
-/// Fresh per-test snapshot directory under the gtest temp root.
-std::string snap_dir(const std::string& tag) {
-  const std::filesystem::path dir =
-      std::filesystem::path(::testing::TempDir()) / ("adgc_" + tag);
-  std::filesystem::remove_all(dir);
-  return dir.string();
-}
-
-/// Rooted object at P0 holding a remote reference to an unrooted object at
-/// P1 — the target's survival depends entirely on the stub/scion pair.
-struct LiveRef {
-  ObjectId holder_obj;  // rooted, at P0
-  ObjectId target_obj;  // unrooted, at P1
-  RefId ref = kNoRef;
-};
-
-LiveRef build_live_ref(Runtime& rt) {
-  LiveRef lr;
-  lr.holder_obj = ObjectId{0, rt.proc(0).create_object()};
-  lr.target_obj = ObjectId{1, rt.proc(1).create_object()};
-  rt.proc(0).add_root(lr.holder_obj.seq);
-  lr.ref = rt.link(lr.holder_obj, lr.target_obj);
-  return lr;
-}
+using test::build_live_ref;
+using test::LiveRef;
+using test::snap_dir;
 
 TEST(CrashRestart, LiveRefSurvivesOwnerRestart) {
   RuntimeConfig cfg = sim::fast_config(7);
-  cfg.proc.snapshot_dir = snap_dir("owner_restart");
+  cfg.proc.snapshot_dir = snap_dir();
   Runtime rt(2, cfg);
-  const LiveRef lr = build_live_ref(rt);
+  const LiveRef lr = build_live_ref(rt, 0, 1);
 
   rt.run_for(500'000);  // many snapshot periods: state durable on both sides
   rt.crash(1);
@@ -80,9 +59,9 @@ TEST(CrashRestart, LiveRefSurvivesOwnerRestart) {
 
 TEST(CrashRestart, LiveRefSurvivesHolderRestart) {
   RuntimeConfig cfg = sim::fast_config(8);
-  cfg.proc.snapshot_dir = snap_dir("holder_restart");
+  cfg.proc.snapshot_dir = snap_dir();
   Runtime rt(2, cfg);
-  const LiveRef lr = build_live_ref(rt);
+  const LiveRef lr = build_live_ref(rt, 0, 1);
 
   rt.run_for(500'000);
   rt.crash(0);
@@ -101,7 +80,7 @@ TEST(CrashRestart, LiveRefSurvivesHolderRestart) {
 
 TEST(CrashRestart, CycleThroughRestartedProcessStillCollected) {
   RuntimeConfig cfg = sim::fast_config(9);
-  cfg.proc.snapshot_dir = snap_dir("cycle_restart");
+  cfg.proc.snapshot_dir = snap_dir();
   Runtime rt(4, cfg);
   const sim::Fig3 fig = sim::build_fig3(rt);
 
@@ -124,9 +103,9 @@ TEST(CrashRestart, CycleThroughRestartedProcessStillCollected) {
 
 TEST(CrashRestart, StaleIncarnationNssCannotDeleteResurrectedState) {
   RuntimeConfig cfg = sim::manual_config(10);
-  cfg.proc.snapshot_dir = snap_dir("stale_nss");
+  cfg.proc.snapshot_dir = snap_dir();
   Runtime rt(2, cfg);
-  const LiveRef lr = build_live_ref(rt);
+  const LiveRef lr = build_live_ref(rt, 0, 1);
 
   // Confirm the scion, then persist both sides.
   rt.proc(0).run_lgc();
@@ -158,7 +137,7 @@ TEST(CrashRestart, StaleIncarnationNssCannotDeleteResurrectedState) {
 TEST(CrashRestart, ColdRestartWithoutStoreLeavesSystemFunctional) {
   RuntimeConfig cfg = sim::fast_config(11);  // no snapshot_dir: nothing persisted
   Runtime rt(2, cfg);
-  const LiveRef lr = build_live_ref(rt);
+  const LiveRef lr = build_live_ref(rt, 0, 1);
 
   rt.run_for(200'000);
   rt.crash(1);
@@ -180,9 +159,9 @@ TEST(CrashRestart, ColdRestartWithoutStoreLeavesSystemFunctional) {
 
 TEST(CrashRestart, RestartedIncarnationNeverReusesIdentifiers) {
   RuntimeConfig cfg = sim::fast_config(12);
-  cfg.proc.snapshot_dir = snap_dir("id_reuse");
+  cfg.proc.snapshot_dir = snap_dir();
   Runtime rt(2, cfg);
-  const LiveRef lr = build_live_ref(rt);
+  const LiveRef lr = build_live_ref(rt, 0, 1);
   const ObjectSeq pre_crash_seq = lr.target_obj.seq;
 
   rt.run_for(300'000);
@@ -209,18 +188,31 @@ TEST(CrashRestart, RestartedIncarnationNeverReusesIdentifiers) {
 class CrashSweep : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(CrashSweep, CollectsCycleNeverLosesLiveObjects) {
-  sim::CrashSweepParams p;
-  p.seed = GetParam();
-  p.snapshot_dir = snap_dir("sweep_" + std::to_string(p.seed));
-  const sim::CrashSweepResult res = sim::run_crash_sweep(p);
-  EXPECT_TRUE(res.cycle_collected) << res.detail;
+  const sim::SweepResult res = sim::run_crash_sweep(GetParam(), snap_dir());
+  EXPECT_TRUE(res.garbage_collected) << res.detail;
   EXPECT_FALSE(res.live_lost) << res.detail;
+  EXPECT_FALSE(res.stranded) << res.detail;
   EXPECT_EQ(res.crashes, 4u);
   EXPECT_EQ(res.recovered, 4u) << "some restart failed to recover its snapshot";
 }
 
 INSTANTIATE_TEST_SUITE_P(TenSeeds, CrashSweep,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 9, 10));
+
+// Nightly CI widens the sweep: ADGC_SOAK_MULTIPLIER=N adds N-1 batches of
+// ten seeds from 1000 on.
+TEST(CrashSweep, NightlyExtraSeeds) {
+  const std::string dir = snap_dir();
+  const int extra_batches = test::soak_multiplier() - 1;
+  for (int b = 0; b < extra_batches; ++b) {
+    for (std::uint64_t s = 0; s < 10; ++s) {
+      const std::uint64_t seed = 1000 + static_cast<std::uint64_t>(b) * 10 + s;
+      const sim::SweepResult res = sim::run_crash_sweep(seed, dir);
+      ASSERT_TRUE(res.ok()) << "seed=" << seed << ": " << res.detail;
+      ASSERT_EQ(res.recovered, 4u) << "seed=" << seed;
+    }
+  }
+}
 
 // ------------------------------------------------------- threaded runtime
 
@@ -230,7 +222,7 @@ TEST(CrashRestartThreaded, CrashAndRecoverUnderRealConcurrency) {
   cfg.proc.lgc_period_us = 10'000;
   cfg.proc.snapshot_period_us = 15'000;
   cfg.proc.dcda_scan_period_us = 20'000;
-  cfg.proc.snapshot_dir = snap_dir("threaded_crash");
+  cfg.proc.snapshot_dir = snap_dir();
   ThreadedRuntime rt(3, cfg);
 
   ObjectSeq holder_seq = 0, target_seq = 0;

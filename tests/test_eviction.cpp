@@ -19,25 +19,21 @@
 //     schedule space while actually exercising evictions.
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <string>
 
 #include "src/common/metrics.h"
 #include "src/mc/explorer.h"
 #include "src/mc/strategy.h"
 #include "src/net/peer_health.h"
-#include "src/sim/eviction_sweep.h"
+#include "src/sim/fault_sweep.h"
 #include "src/sim/harness.h"
+#include "tests/test_util.h"
 
 namespace adgc {
 namespace {
 
-std::string snap_dir(const std::string& tag) {
-  const std::filesystem::path dir =
-      std::filesystem::path(::testing::TempDir()) / ("adgc_" + tag);
-  std::filesystem::remove_all(dir);
-  return dir.string();
-}
+using test::build_live_ref;
+using test::LiveRef;
 
 class TombstoneTest : public ::testing::Test {
  protected:
@@ -98,22 +94,6 @@ TEST_F(TombstoneTest, IdleSlotsPrunedSuspectedRetained) {
   EXPECT_TRUE(tracker.known_peers().contains(2));
 }
 
-/// Rooted holder at P0 with a remote reference to an unrooted target at P1.
-struct LiveRef {
-  ObjectId holder_obj;
-  ObjectId target_obj;
-  RefId ref = kNoRef;
-};
-
-LiveRef build_live_ref(Runtime& rt, ProcessId holder, ProcessId owner) {
-  LiveRef lr;
-  lr.holder_obj = ObjectId{holder, rt.proc(holder).create_object()};
-  lr.target_obj = ObjectId{owner, rt.proc(owner).create_object()};
-  rt.proc(holder).add_root(lr.holder_obj.seq);
-  lr.ref = rt.link(lr.holder_obj, lr.target_obj);
-  return lr;
-}
-
 TEST(Eviction, EvictPurgesBothDirectionsAndUnpinsGarbage) {
   RuntimeConfig cfg = sim::fast_config(11);
   Runtime rt(2, cfg);
@@ -142,7 +122,7 @@ TEST(Eviction, EvictPurgesBothDirectionsAndUnpinsGarbage) {
 
 TEST(Eviction, ZombieIsNackedAndFreshIncarnationReadmitted) {
   RuntimeConfig cfg = sim::fast_config(12);
-  cfg.proc.snapshot_dir = snap_dir("evict_readmit");
+  cfg.proc.snapshot_dir = test::snap_dir();
   Runtime rt(2, cfg);
   // P1 roots H -> X owned by P0; X is also rooted at P0 so eviction drops
   // only the scion, not the object (a false positive must cost the evicted
@@ -210,16 +190,30 @@ TEST(Eviction, SilentDeadPeerEvictedAfterTimeout) {
 class EvictionSweep : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(EvictionSweep, StrandedStateReclaimedWithinBound) {
-  sim::EvictionSweepParams p;
-  p.seed = GetParam();
-  const sim::EvictionSweepResult res = sim::run_eviction_sweep(p);
-  EXPECT_TRUE(res.ok()) << "seed=" << p.seed << ": " << res.detail;
-  EXPECT_GE(res.peers_evicted, 1u);
-  EXPECT_GE(res.eviction_stubs_retired + res.eviction_scions_dropped, 1u);
+  const sim::SweepResult res = sim::run_eviction_sweep(GetParam());
+  EXPECT_TRUE(res.ok()) << "seed=" << GetParam() << ": " << res.detail;
+  EXPECT_GE(res.totals.peers_evicted.get(), 1u);
+  EXPECT_GE(res.totals.eviction_stubs_retired.get() +
+                res.totals.eviction_scions_dropped.get(),
+            1u);
 }
 
 INSTANTIATE_TEST_SUITE_P(TenSeeds, EvictionSweep,
                          ::testing::Range<std::uint64_t>(1, 11));
+
+// Nightly CI widens the sweep: ADGC_SOAK_MULTIPLIER=N adds N-1 batches of
+// ten seeds from 1000 on.
+TEST(EvictionSweep, NightlyExtraSeeds) {
+  const int extra_batches = test::soak_multiplier() - 1;
+  for (int b = 0; b < extra_batches; ++b) {
+    for (std::uint64_t s = 0; s < 10; ++s) {
+      const std::uint64_t seed = 1000 + static_cast<std::uint64_t>(b) * 10 + s;
+      const sim::SweepResult res = sim::run_eviction_sweep(seed);
+      ASSERT_TRUE(res.ok()) << "seed=" << seed << ": " << res.detail;
+      ASSERT_GE(res.totals.peers_evicted.get(), 1u) << "seed=" << seed;
+    }
+  }
+}
 
 // Exhaustive delay-bounded search over the armed-eviction scenario: every
 // schedule deviating from the default order by at most the bound is run —

@@ -194,13 +194,18 @@ TEST(NodeRuntime, IncarnationBumpsAcrossRestartsAndRecoversState) {
     n.start();
     EXPECT_EQ(n.incarnation(), 0u);
     EXPECT_FALSE(n.recovered());
+    std::uint64_t published = 0;
     n.post_sync([&](Process& p) {
       kept = p.create_object();
       p.add_root(kept);
+      published = p.metrics().summarizations.get();
     });
-    // Wait for at least one snapshot to hit the store.
-    EXPECT_TRUE(eventually(
-        n, [](Process& p) { return p.metrics().snapshots_taken.get() >= 1; }));
+    // Wait until a snapshot captured after `kept` is in the store. The
+    // pipeline publishes a summary only after writing it, and at most one
+    // capture (possibly older than `kept`) was in flight above.
+    EXPECT_TRUE(eventually(n, [&](Process& p) {
+      return p.metrics().summarizations.get() >= published + 2;
+    }));
     n.stop();
   }
   {

@@ -189,7 +189,7 @@ TEST_F(StoreTest, ProcessPersistsAndRecovers) {
 
   // The live summary was built from the capture, never from the stored
   // bytes; they must still decode to the snapshot it summarized.
-  SnapshotStore probe(dir_, cfg.proc.snapshot_retain);
+  SnapshotStore probe(dir_);
   const auto stored = probe.read_latest(1);
   ASSERT_TRUE(stored.has_value());
   EXPECT_EQ(stored->version, live->version);
@@ -217,13 +217,12 @@ TEST_F(StoreTest, RecoveryWithoutStoreFails) {
 TEST_F(StoreTest, PeriodicSnapshotsRespectRetention) {
   RuntimeConfig cfg = sim::fast_config(79);
   cfg.proc.snapshot_dir = dir_.string();
-  cfg.proc.snapshot_retain = 3;
   Runtime rt(2, cfg);
   rt.proc(0).create_object();
   rt.run_for(300'000);  // many snapshot periods
-  SnapshotStore probe(dir_, 3);
+  SnapshotStore probe(dir_);
   const auto vs = probe.versions(0);
-  EXPECT_LE(vs.size(), 3u);
+  EXPECT_LE(vs.size(), 2u);  // the store's default retention
   EXPECT_GE(vs.size(), 1u);
 }
 

@@ -4,22 +4,13 @@
 // settling).
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 
 #include "src/sim/harness.h"
 #include "src/sim/workload.h"
+#include "tests/test_util.h"
 
 namespace adgc {
 namespace {
-
-/// Nightly CI scales the soak up without a rebuild: ADGC_SOAK_MULTIPLIER=N
-/// multiplies every run's mutation rounds.
-int soak_multiplier() {
-  const char* env = std::getenv("ADGC_SOAK_MULTIPLIER");
-  if (!env) return 1;
-  const int m = std::atoi(env);
-  return m > 0 ? m : 1;
-}
 
 struct SoakParams {
   std::uint64_t seed;
@@ -44,7 +35,7 @@ TEST_P(Soak, LongRunConverges) {
   wp.max_objects = 1500;
   sim::RandomWorkload w(rt, wp, p.seed * 104729 + 3);
 
-  const int rounds = p.rounds * soak_multiplier();
+  const int rounds = p.rounds * test::soak_multiplier();
   for (int round = 0; round < rounds; ++round) {
     w.steps(30);
     rt.run_for(20'000);

@@ -32,7 +32,7 @@
 
 #include "src/common/log.h"
 #include "src/obs/trace.h"
-#include "src/sim/chaos_sweep.h"
+#include "src/sim/fault_sweep.h"
 #include "src/sim/harness.h"
 #include "src/sim/workload.h"
 #include "tools/cli_flags.h"
@@ -235,23 +235,23 @@ int main(int argc, char** argv) {
     if (opt.loss > 0) cp.loss_probability = opt.loss;
     if (opt.dup > 0) cp.duplicate_probability = opt.dup;
     cp.peer_death_timeout_us = opt.peer_death_timeout_ms * 1000;
-    std::printf(
-        "chaos sweep: seed=%llu loss=%.2f dup=%.2f slices=%zu crashes=%s "
-        "batching=%s pipeline=%s eviction=%s\n",
-        static_cast<unsigned long long>(cp.seed), cp.loss_probability,
-        cp.duplicate_probability, cp.slices, cp.with_crashes ? "on" : "off",
-        cp.batching ? "on" : "off", cp.snapshot_pipeline ? "on" : "off",
-        cp.peer_death_timeout_us > 0 ? "on" : "off");
-    const sim::ChaosSweepResult res = sim::run_chaos_sweep(cp);
+    std::printf("chaos sweep: seed=%llu loss=%.2f dup=%.2f batching=%s pipeline=%s "
+                "eviction=%s\n",
+                static_cast<unsigned long long>(cp.seed), cp.loss_probability,
+                cp.duplicate_probability, cp.batching ? "on" : "off",
+                cp.snapshot_pipeline ? "on" : "off",
+                cp.peer_death_timeout_us > 0 ? "on" : "off");
+    const sim::SweepResult res = sim::run_chaos_sweep(cp);
+    const Metrics& m = res.totals;
     std::printf("  crashes=%zu recovered=%zu messages_lost=%llu\n", res.crashes,
-                res.recovered, static_cast<unsigned long long>(res.messages_lost));
+                res.recovered, static_cast<unsigned long long>(m.messages_lost.get()));
     std::printf("  suspects=%llu cdms_shed=%llu nss_shed=%llu deferred=%llu "
                 "abandoned_handshakes=%llu\n",
-                static_cast<unsigned long long>(res.suspect_transitions),
-                static_cast<unsigned long long>(res.cdms_shed),
-                static_cast<unsigned long long>(res.new_set_stubs_shed),
-                static_cast<unsigned long long>(res.detections_deferred),
-                static_cast<unsigned long long>(res.add_scion_abandoned));
+                static_cast<unsigned long long>(m.peer_suspect_transitions.get()),
+                static_cast<unsigned long long>(m.cdms_shed.get()),
+                static_cast<unsigned long long>(m.new_set_stubs_shed.get()),
+                static_cast<unsigned long long>(m.detections_deferred_backoff.get()),
+                static_cast<unsigned long long>(m.add_scion_abandoned.get()));
     if (!res.ok()) {
       std::printf("CHAOS FAILED: %s\n", res.detail.c_str());
       return 1;
