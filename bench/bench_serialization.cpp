@@ -17,8 +17,10 @@
 
 #include "bench/bench_common.h"
 #include "src/common/arena.h"
+#include "src/lgc/mark_sweep.h"
 #include "src/net/message.h"
 #include "src/snapshot/serializer.h"
+#include "src/snapshot/snapshot.h"
 
 namespace adgc {
 namespace {
@@ -138,6 +140,32 @@ double measure_ms(const Serializer& s, const SnapshotData& snap, int reps = 5) {
   return best;
 }
 
+/// The collection-pause heap: a rooted chain of `n` objects with 32-byte
+/// payloads, every 100th also holding a remote reference (one stub each).
+struct PauseHeap {
+  Heap heap;
+  StubTable stubs;
+  ScionTable scions;
+};
+
+void build_pause_heap(PauseHeap& h, std::size_t n) {
+  ObjectSeq prev = kNoObject;
+  for (std::size_t i = 0; i < n; ++i) {
+    const ObjectSeq seq = h.heap.allocate(32);
+    if (prev == kNoObject) {
+      h.heap.add_root(seq);
+    } else {
+      h.heap.add_local_field(prev, seq);
+    }
+    if (i % 100 == 0) {
+      const RefId ref = make_ref_id(0, i + 1);
+      h.stubs.ensure(ref, ObjectId{1, i + 1}, 0);
+      h.heap.add_remote_field(seq, ref);
+    }
+    prev = seq;
+  }
+}
+
 }  // namespace
 }  // namespace adgc
 
@@ -234,5 +262,42 @@ int main(int argc, char** argv) {
   report.add("batch_encode", {{"individual_ns_per_msg", per_msg_individual_ns},
                               {"arena_ns_per_msg", per_msg_arena_ns},
                               {"speedup", per_msg_individual_ns / per_msg_arena_ns}});
+
+  bench::header(
+      "Extension — collection pause: 10 back-to-back LGC runs and 10 captures\n"
+      "into a recycled snapshot, 100k-object heap (32 B payloads, 1% remote)");
+  constexpr std::size_t kPauseObjs = 100'000;
+  constexpr int kPauseRuns = 10;
+  PauseHeap ph;
+  build_pause_heap(ph, kPauseObjs);
+  const std::set<RefId> no_pins;
+  double lgc_ms = 1e100;
+  double capture_ms = 1e100;
+  SnapshotData recycled;
+  for (int attempt = 0; attempt < 3; ++attempt) {
+    bench::Stopwatch lgc_sw;
+    for (int r = 0; r < kPauseRuns; ++r) {
+      const lgc::Result res = lgc::run(ph.heap, ph.stubs, ph.scions, no_pins, 0);
+      benchmark::DoNotOptimize(res);
+    }
+    lgc_ms = std::min(lgc_ms, lgc_sw.ms());
+    bench::Stopwatch cap_sw;
+    for (int r = 0; r < kPauseRuns; ++r) {
+      capture_snapshot_into(recycled, 0, r, ph.heap, ph.stubs, ph.scions);
+      benchmark::DoNotOptimize(recycled.objects.data());
+    }
+    capture_ms = std::min(capture_ms, cap_sw.ms());
+  }
+  if (ph.heap.size() != kPauseObjs || recycled.objects.size() != kPauseObjs) {
+    std::fprintf(stderr, "heap_pause: the LGC collected live objects\n");
+    return 1;
+  }
+  std::printf("LGC:     %8.2f ms for %d runs (%.0f ns/obj)\n", lgc_ms, kPauseRuns,
+              lgc_ms * 1e6 / (kPauseRuns * kPauseObjs));
+  std::printf("capture: %8.2f ms for %d runs (%.0f ns/obj)\n", capture_ms, kPauseRuns,
+              capture_ms * 1e6 / (kPauseRuns * kPauseObjs));
+  report.add("heap_pause", {{"objs", static_cast<double>(kPauseObjs)},
+                            {"lgc_ms", lgc_ms},
+                            {"capture_ms", capture_ms}});
   return 0;
 }

@@ -4,63 +4,59 @@
 
 namespace adgc::lgc {
 
-std::unordered_set<ObjectSeq> reach_from(const Heap& heap,
-                                         const std::vector<ObjectSeq>& seeds) {
-  std::unordered_set<ObjectSeq> marked;
-  std::vector<ObjectSeq> stack;
-  for (ObjectSeq s : seeds) {
-    if (heap.exists(s) && marked.insert(s).second) stack.push_back(s);
-  }
-  while (!stack.empty()) {
-    const ObjectSeq cur = stack.back();
-    stack.pop_back();
-    const HeapObject* obj = heap.find(cur);
-    for (ObjectSeq next : obj->local_fields) {
-      if (heap.exists(next) && marked.insert(next).second) stack.push_back(next);
-    }
-  }
-  return marked;
-}
-
 Result run(Heap& heap, StubTable& stubs, ScionTable& scions,
-           const std::set<RefId>& pinned_stubs, SimTime now) {
+           const std::set<RefId>& pinned_stubs, SimTime /*now*/) {
   Result res;
   res.objects_before = heap.size();
 
-  // Mark 1: from local roots only (defines Local.Reach and the candidate
-  // heuristic's "locally reachable" notion).
-  std::vector<ObjectSeq> root_seeds(heap.roots().begin(), heap.roots().end());
-  res.root_reachable = reach_from(heap, root_seeds);
+  // Mark: roots first, so an object reachable from both a root and a scion
+  // keeps the root colour; the scion pass only colours what is still
+  // unmarked.
+  const std::uint64_t root_mark = 2 * heap.next_epoch();
+  const std::uint64_t scion_mark = root_mark + 1;
+  std::vector<HeapObject*> stack;
+  auto mark_from = [&](ObjectSeq seq, std::uint64_t colour) {
+    HeapObject* obj = heap.find(seq);
+    if (!obj || obj->mark >= root_mark) return;
+    obj->mark = colour;
+    stack.push_back(obj);
+    while (!stack.empty()) {
+      const HeapObject* cur = stack.back();
+      stack.pop_back();
+      for (ObjectSeq next : cur->local_fields) {
+        HeapObject* n = heap.find(next);
+        if (n && n->mark < root_mark) {
+          n->mark = colour;
+          stack.push_back(n);
+        }
+      }
+    }
+  };
+  for (ObjectSeq root : heap.roots()) mark_from(root, root_mark);
+  for (const auto& [ref, scion] : scions) mark_from(scion.target, scion_mark);
 
-  // Mark 2: full liveness = roots ∪ scion targets.
-  std::vector<ObjectSeq> full_seeds = root_seeds;
-  for (const auto& [ref, scion] : scions) {
-    full_seeds.push_back(scion.target);
-  }
-  const std::unordered_set<ObjectSeq> live = reach_from(heap, full_seeds);
-
-  // Sweep.
-  std::vector<ObjectSeq> dead;
-  dead.reserve(heap.size() - live.size());
-  for (const auto& [seq, obj] : heap.objects()) {
-    if (!live.contains(seq)) dead.push_back(seq);
-  }
-  for (ObjectSeq seq : dead) heap.remove(seq);
-  res.objects_reclaimed = dead.size();
-
-  // Recompute stub holder counts and Local.Reach from the surviving heap.
+  // Sweep, recomputing stub holder counts and Local.Reach from the survivors
+  // in the same walk.
   for (auto& [ref, stub] : stubs) {
     stub.holders = 0;
     stub.local_reach = false;
   }
-  for (const auto& [seq, obj] : heap.objects()) {
-    const bool from_root = res.root_reachable.contains(seq);
+  auto& objects = heap.objects();
+  for (auto it = objects.begin(); it != objects.end();) {
+    const HeapObject& obj = it->second;
+    if (obj.mark < root_mark) {
+      it = objects.erase(it);
+      ++res.objects_reclaimed;
+      continue;
+    }
+    const bool from_root = obj.mark == root_mark;
     for (RefId ref : obj.remote_fields) {
       if (StubEntry* stub = stubs.find(ref)) {
         ++stub->holders;
         stub->local_reach = stub->local_reach || from_root;
       }
     }
+    ++it;
   }
 
   // Delete orphaned stubs (unless pinned by an in-flight export).
@@ -73,8 +69,8 @@ Result run(Heap& heap, StubTable& stubs, ScionTable& scions,
 
   // Refresh the candidate heuristic's view of scion targets.
   for (auto& [ref, scion] : scions) {
-    scion.target_root_reachable = res.root_reachable.contains(scion.target);
-    (void)now;
+    const HeapObject* target = heap.find(scion.target);
+    scion.target_root_reachable = target && target->mark == root_mark;
   }
 
   return res;

@@ -9,13 +9,17 @@
 //  * stubs with no surviving holder are deleted — the caller then announces
 //    the new stub set via NewSetStubs.
 //
+// One mark pass colours every object with the heap's epoch (see
+// HeapObject::mark): first from the local roots, then on from the scion
+// targets, so "root-reachable" and "live" come out of the same traversal.
+// The sweep and the stub recount then share one walk over the heap.
+//
 // `pinned_stubs` are references currently being exported through the
 // scion-first handshake: they must survive (and count as live for
 // NewSetStubs) even if no heap object holds them anymore.
 #pragma once
 
 #include <set>
-#include <unordered_set>
 
 #include "src/common/config.h"
 #include "src/dgc/scion_table.h"
@@ -28,16 +32,9 @@ struct Result {
   std::size_t objects_before = 0;
   std::size_t objects_reclaimed = 0;
   std::size_t stubs_deleted = 0;
-  /// Objects reachable from local roots only (no scions), post-sweep.
-  std::unordered_set<ObjectSeq> root_reachable;
 };
 
 Result run(Heap& heap, StubTable& stubs, ScionTable& scions,
            const std::set<RefId>& pinned_stubs, SimTime now);
-
-/// Mark phase only: the set of objects transitively reachable from `seeds`
-/// through local fields. Shared with the summarizer and the oracle.
-std::unordered_set<ObjectSeq> reach_from(const Heap& heap,
-                                         const std::vector<ObjectSeq>& seeds);
 
 }  // namespace adgc::lgc

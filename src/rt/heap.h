@@ -24,8 +24,10 @@ struct HeapObject {
   /// Simulated payload; serialized by snapshot serializers, so its size is
   /// what the serialization benchmarks measure.
   std::vector<std::byte> payload;
-  /// Last time the object was the target of a (local or remote) access.
-  SimTime last_access = 0;
+  /// LGC colour, relative to the heap's epoch `e`: `2e` reached from a local
+  /// root, `2e + 1` reached only from a scion target, anything smaller
+  /// unmarked. Bumping the epoch un-marks every object at once.
+  std::uint64_t mark = 0;
 };
 
 class Heap {
@@ -37,8 +39,8 @@ class Heap {
   HeapObject* find(ObjectSeq seq);
   const HeapObject* find(ObjectSeq seq) const;
 
-  /// Removes the object outright (used by the sweep phase). The caller is
-  /// responsible for stub holder bookkeeping.
+  /// Removes the object outright. The caller is responsible for stub holder
+  /// bookkeeping.
   void remove(ObjectSeq seq) { objects_.erase(seq); }
 
   /// Reinstates an object under its original sequence number (snapshot
@@ -64,6 +66,9 @@ class Heap {
   void add_remote_field(ObjectSeq from, RefId ref);
   bool remove_remote_field(ObjectSeq from, RefId ref);
 
+  /// Starts a new LGC epoch and returns it; see HeapObject::mark.
+  std::uint64_t next_epoch() { return ++epoch_; }
+
   std::size_t size() const { return objects_.size(); }
   const std::unordered_map<ObjectSeq, HeapObject>& objects() const { return objects_; }
   std::unordered_map<ObjectSeq, HeapObject>& objects() { return objects_; }
@@ -72,6 +77,7 @@ class Heap {
   std::unordered_map<ObjectSeq, HeapObject> objects_;
   std::set<ObjectSeq> roots_;
   ObjectSeq next_seq_ = 1;
+  std::uint64_t epoch_ = 0;
 };
 
 }  // namespace adgc

@@ -451,7 +451,6 @@ void Process::on_invoke(ProcessId src, const InvokeMsg& msg) {
     ADGC_WARN("P" << pid_ << " invocation for missing object " << target_seq);
     return;
   }
-  obj->last_access = env_.now();
 
   switch (msg.effect) {
     case InvokeEffect::kTouch:
@@ -683,7 +682,8 @@ SnapshotData Process::capture_for_snapshot(std::uint64_t* version_out,
                                            SimTime* vt_out) {
   const auto wall_start = std::chrono::steady_clock::now();
   const SimTime vt_start = env_.now();
-  SnapshotData snap = capture_snapshot(pid_, env_.now(), heap_, stubs_, scions_);
+  SnapshotData snap = pipeline_->take_spare();
+  capture_snapshot_into(snap, pid_, env_.now(), heap_, stubs_, scions_);
   metrics().snapshots_taken.add();
   // Versions are assigned at capture, so a synchronous snapshot taken while
   // a pipelined one is in flight still sorts above it.
@@ -721,8 +721,8 @@ void Process::take_snapshot() {
   pipeline_->cancel_in_flight();
   std::uint64_t version = 0;
   SimTime vt_start = 0;
-  const SnapshotData snap = capture_for_snapshot(&version, &vt_start);
-  adopt_summary(pipeline_->run_now(snap, version, vt_start));
+  SnapshotData snap = capture_for_snapshot(&version, &vt_start);
+  adopt_summary(pipeline_->run_now(std::move(snap), version, vt_start));
 }
 
 void Process::request_snapshot() {

@@ -37,6 +37,7 @@ SnapshotPipeline::~SnapshotPipeline() {
     ctl_->cancelled = ctl_->gen;
     ctl_->has_job = false;
     ctl_->job_snap = {};
+    ctl_->spare = {};
   }
   ctl_->cv.notify_all();
   if (worker_.joinable()) worker_.join();
@@ -57,8 +58,12 @@ bool SnapshotPipeline::consume_pending() {
   return std::exchange(ctl_->pending, false);
 }
 
-SnapshotPipeline::Stages SnapshotPipeline::run_now(const SnapshotData& snap,
-                                                   std::uint64_t version,
+SnapshotData SnapshotPipeline::take_spare() {
+  std::lock_guard<std::mutex> lk(ctl_->mu);
+  return std::exchange(ctl_->spare, {});
+}
+
+SnapshotPipeline::Stages SnapshotPipeline::run_now(SnapshotData snap, std::uint64_t version,
                                                    SimTime requested_at) {
   Stages out;
   out.version = version;
@@ -95,6 +100,10 @@ SnapshotPipeline::Stages SnapshotPipeline::run_now(const SnapshotData& snap,
             {env_.now(), pid_, obs::EventType::kSnapshotSummarize, 0, 0, version,
              static_cast<std::uint64_t>(env_.now() - vt1)});
   out.summary = std::make_shared<const SummarizedGraph>(std::move(sum));
+  {
+    std::lock_guard<std::mutex> lk(ctl_->mu);
+    ctl_->spare = std::move(snap);
+  }
   return out;
 }
 
@@ -110,7 +119,7 @@ void SnapshotPipeline::submit(SnapshotData snap, std::uint64_t version,
     // Deterministic simulator: the stages run inline (no concurrency to
     // model); only the publication is deferred, as a self-event the sim —
     // and the model checker's explicit schedule — orders like any other.
-    Stages s = run_now(snap, version, requested_at);
+    Stages s = run_now(std::move(snap), version, requested_at);
     auto ctl = ctl_;
     env_.schedule(cfg_.snapshot_pipeline_latency_us,
                   [self = this, ctl, s = std::move(s), gen]() mutable {
@@ -151,7 +160,7 @@ void SnapshotPipeline::worker_loop() {
     }
     Stages s;
     try {
-      s = run_now(snap, version, requested_at);
+      s = run_now(std::move(snap), version, requested_at);
     } catch (const std::exception& e) {
       // A stage threw past run_now's own handling (serializer bug): report
       // and deliver an empty result so the in-flight state still clears.

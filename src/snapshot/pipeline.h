@@ -89,7 +89,13 @@ class SnapshotPipeline {
 
   /// Runs the stages synchronously on the caller's thread (the legacy
   /// take_snapshot path) and returns the result for immediate adoption.
-  Stages run_now(const SnapshotData& snap, std::uint64_t version, SimTime requested_at);
+  /// Like every pass, it leaves `snap` in the spare slot afterwards.
+  Stages run_now(SnapshotData snap, std::uint64_t version, SimTime requested_at);
+
+  /// The snapshot the last finished pass consumed (empty before the first),
+  /// for the owner to capture into: its buffers already have the heap's
+  /// size, so the capture reuses them instead of allocating.
+  SnapshotData take_spare();
 
   /// Discards any in-flight work: waits (real_time Envs) for the worker to
   /// finish its current job, drops an unstarted one, clears `pending`, and
@@ -113,6 +119,7 @@ class SnapshotPipeline {
     std::uint64_t gen = 0;        // submissions
     std::uint64_t cancelled = 0;  // completions at or below this are dropped
     SnapshotData job_snap;
+    SnapshotData spare;  // last consumed snapshot, recycled by take_spare()
     std::uint64_t job_version = 0;
     SimTime job_requested_at = 0;
   };

@@ -4,34 +4,43 @@
 
 namespace adgc {
 
-SnapshotData capture_snapshot(ProcessId pid, SimTime now, const Heap& heap,
-                              const StubTable& stubs, const ScionTable& scions) {
-  SnapshotData snap;
+void capture_snapshot_into(SnapshotData& snap, ProcessId pid, SimTime now, const Heap& heap,
+                           const StubTable& stubs, const ScionTable& scions) {
   snap.pid = pid;
   snap.taken_at = now;
   snap.roots.assign(heap.roots().begin(), heap.roots().end());
 
-  snap.objects.reserve(heap.size());
+  // Fill element by element so every recycled Obj keeps its vectors'
+  // capacity.
+  snap.objects.resize(heap.size());
+  std::size_t i = 0;
   for (const auto& [seq, obj] : heap.objects()) {
-    SnapshotData::Obj o;
+    SnapshotData::Obj& o = snap.objects[i++];
     o.seq = seq;
-    o.local_fields = obj.local_fields;
-    o.remote_fields = obj.remote_fields;
-    o.payload = obj.payload;
-    snap.objects.push_back(std::move(o));
+    o.local_fields.assign(obj.local_fields.begin(), obj.local_fields.end());
+    o.remote_fields.assign(obj.remote_fields.begin(), obj.remote_fields.end());
+    o.payload.assign(obj.payload.begin(), obj.payload.end());
   }
   // Deterministic order regardless of hash-map iteration.
   std::sort(snap.objects.begin(), snap.objects.end(),
             [](const auto& a, const auto& b) { return a.seq < b.seq; });
 
+  snap.stubs.clear();
   snap.stubs.reserve(stubs.size());
   for (const auto& [ref, stub] : stubs) {
     snap.stubs.push_back({ref, stub.target, stub.ic});
   }
+  snap.scions.clear();
   snap.scions.reserve(scions.size());
   for (const auto& [ref, scion] : scions) {
     snap.scions.push_back({ref, scion.holder, scion.target, scion.ic});
   }
+}
+
+SnapshotData capture_snapshot(ProcessId pid, SimTime now, const Heap& heap,
+                              const StubTable& stubs, const ScionTable& scions) {
+  SnapshotData snap;
+  capture_snapshot_into(snap, pid, now, heap, stubs, scions);
   return snap;
 }
 
@@ -43,7 +52,6 @@ void restore_snapshot(const SnapshotData& snap, Heap& heap, StubTable& stubs,
     obj.local_fields = o.local_fields;
     obj.remote_fields = o.remote_fields;
     obj.payload = o.payload;
-    obj.last_access = now;
     heap.adopt(std::move(obj));
   }
   for (ObjectSeq root : snap.roots) heap.add_root(root);

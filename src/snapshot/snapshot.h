@@ -51,7 +51,13 @@ struct SnapshotData {
   std::vector<Scion> scions;
 };
 
-/// Captures the current heap + DGC tables into a SnapshotData.
+/// Captures the current heap + DGC tables into `snap`, overwriting its
+/// contents but reusing its vectors' capacity: capturing into the previous
+/// snapshot allocates only where the heap has outgrown it.
+void capture_snapshot_into(SnapshotData& snap, ProcessId pid, SimTime now, const Heap& heap,
+                           const StubTable& stubs, const ScionTable& scions);
+
+/// Captures the current heap + DGC tables into a fresh SnapshotData.
 SnapshotData capture_snapshot(ProcessId pid, SimTime now, const Heap& heap,
                               const StubTable& stubs, const ScionTable& scions);
 

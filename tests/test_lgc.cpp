@@ -46,14 +46,15 @@ TEST(Lgc, ScionsActAsRoots) {
   const ObjectSeq a = w.heap.allocate();
   const ObjectSeq b = w.heap.allocate();
   w.heap.add_local_field(a, b);
-  w.scions.ensure(make_ref_id(9, 1), /*holder=*/9, a, 0);
+  const RefId ref = make_ref_id(9, 1);
+  w.scions.ensure(ref, /*holder=*/9, a, 0);
 
   const auto res = w.gc();
   EXPECT_EQ(res.objects_reclaimed, 0u);
   EXPECT_TRUE(w.heap.exists(a));
   EXPECT_TRUE(w.heap.exists(b));
   // But the scion-kept objects are not root-reachable.
-  EXPECT_FALSE(res.root_reachable.contains(a));
+  EXPECT_FALSE(w.scions.find(ref)->target_root_reachable);
 }
 
 TEST(Lgc, DeletingScionFreesSubtree) {
@@ -160,18 +161,71 @@ TEST(Lgc, HolderCountsRecomputed) {
   EXPECT_EQ(w.stubs.find(r)->holders, 1u);
 }
 
-TEST(Lgc, ReachFromHelper) {
-  Heap h;
-  const ObjectSeq a = h.allocate();
-  const ObjectSeq b = h.allocate();
-  const ObjectSeq c = h.allocate();
-  h.add_local_field(a, b);
-  const auto reach = lgc::reach_from(h, {a});
-  EXPECT_TRUE(reach.contains(a));
-  EXPECT_TRUE(reach.contains(b));
-  EXPECT_FALSE(reach.contains(c));
-  EXPECT_TRUE(lgc::reach_from(h, {}).empty());
-  EXPECT_TRUE(lgc::reach_from(h, {kNoObject}).empty());
+TEST(Lgc, MissingRootsAndScionTargetsAreIgnored) {
+  World w;
+  const ObjectSeq a = w.heap.allocate();
+  const ObjectSeq b = w.heap.allocate();
+  const ObjectSeq c = w.heap.allocate();
+  w.heap.add_root(a);
+  w.heap.add_local_field(a, b);
+  w.scions.ensure(make_ref_id(9, 1), 9, c, 0);
+  // A root and scion targets that name no object: kNoObject, and a seq the
+  // heap never allocated.
+  const ObjectSeq never = c + 100;
+  w.heap.add_root(kNoObject);
+  w.heap.add_root(never);
+  const RefId r_none = make_ref_id(9, 2), r_never = make_ref_id(9, 3);
+  w.scions.ensure(r_none, 9, kNoObject, 0);
+  w.scions.ensure(r_never, 9, never, 0);
+
+  const auto res = w.gc();
+  EXPECT_EQ(res.objects_reclaimed, 0u);
+  EXPECT_TRUE(w.heap.exists(a));
+  EXPECT_TRUE(w.heap.exists(b));
+  EXPECT_TRUE(w.heap.exists(c));
+  EXPECT_FALSE(w.heap.exists(never));
+  EXPECT_EQ(w.heap.size(), 3u);
+  EXPECT_FALSE(w.scions.find(r_none)->target_root_reachable);
+  EXPECT_FALSE(w.scions.find(r_never)->target_root_reachable);
+}
+
+TEST(Lgc, StaleMarksDoNotKeepObjectsAlive) {
+  World w;
+  // root → a → b; b holds stub r and is the target of scion s.
+  const ObjectSeq a = w.heap.allocate();
+  const ObjectSeq b = w.heap.allocate();
+  const ObjectSeq loose = w.heap.allocate();
+  w.heap.add_root(a);
+  w.heap.add_local_field(a, b);
+  w.heap.add_local_field(a, loose);
+  const RefId r = make_ref_id(0, 1), s = make_ref_id(9, 1);
+  w.stubs.ensure(r, ObjectId{1, 1}, 0);
+  w.heap.add_remote_field(b, r);
+  w.scions.ensure(s, 9, b, 0);
+
+  EXPECT_EQ(w.gc().objects_reclaimed, 0u);
+  EXPECT_TRUE(w.scions.find(s)->target_root_reachable);
+  EXPECT_TRUE(w.stubs.find(r)->local_reach);
+
+  // Cut `loose` free: last epoch's mark must not keep it alive.
+  ASSERT_TRUE(w.heap.remove_local_field(a, loose));
+  EXPECT_EQ(w.gc().objects_reclaimed, 1u);
+  EXPECT_FALSE(w.heap.exists(loose));
+
+  // b goes from root-reachable to scion-only: last epoch's root colour must
+  // not leak into this one.
+  ASSERT_TRUE(w.heap.remove_local_field(a, b));
+  EXPECT_EQ(w.gc().objects_reclaimed, 0u);
+  EXPECT_TRUE(w.heap.exists(b));
+  EXPECT_FALSE(w.scions.find(s)->target_root_reachable);
+  EXPECT_FALSE(w.stubs.find(r)->local_reach);
+  EXPECT_EQ(w.stubs.find(r)->holders, 1u);
+
+  // And once the scion goes, b and its stub go too.
+  w.scions.erase(s);
+  EXPECT_EQ(w.gc().objects_reclaimed, 1u);
+  EXPECT_FALSE(w.heap.exists(b));
+  EXPECT_FALSE(w.stubs.contains(r));
 }
 
 TEST(Lgc, EmptyHeapIsFine) {

@@ -9,6 +9,8 @@
 #include "src/rt/runtime.h"
 #include "src/rt/threaded_runtime.h"
 #include "src/sim/harness.h"
+#include "src/snapshot/serializer.h"
+#include "src/snapshot/snapshot.h"
 
 namespace adgc {
 namespace {
@@ -18,6 +20,64 @@ RuntimeConfig pipelined_config(std::uint64_t seed) {
   cfg.proc.snapshot_pipeline = true;
   cfg.proc.snapshot_pipeline_latency_us = 1'000;
   return cfg;
+}
+
+// ---- capture into a recycled snapshot ----
+
+TEST(SnapshotPipelineCapture, RecycledCaptureMatchesFresh) {
+  Heap heap;
+  StubTable stubs;
+  ScionTable scions;
+  std::vector<ObjectSeq> objs;
+  for (std::size_t i = 0; i < 200; ++i) objs.push_back(heap.allocate(16 + i % 7));
+  for (std::size_t i = 0; i + 1 < objs.size(); ++i) heap.add_local_field(objs[i], objs[i + 1]);
+  heap.add_root(objs[0]);
+  heap.add_root(objs[100]);
+  for (std::uint64_t i = 1; i <= 20; ++i) {
+    const RefId ref = make_ref_id(0, i);
+    stubs.ensure(ref, ObjectId{1, i}, 0).ic = i;
+    heap.add_remote_field(objs[i * 9], ref);
+    heap.add_remote_field(objs[i * 9], ref);
+  }
+  for (std::uint64_t i = 1; i <= 10; ++i) {
+    scions.ensure(make_ref_id(2, i), 2, objs[i * 17], 0).ic = 3 * i;
+  }
+  const BinarySerializer ser;
+  auto fresh = [&](ProcessId pid, SimTime now) {
+    return ser.serialize(capture_snapshot(pid, now, heap, stubs, scions));
+  };
+  SnapshotData recycled;
+  capture_snapshot_into(recycled, 0, 10, heap, stubs, scions);
+  ASSERT_EQ(ser.serialize(recycled), fresh(0, 10));
+
+  // Shrink the heap and rewrite what survives: fewer and different fields,
+  // payloads of other sizes, stubs and scions dropped, added and re-counted.
+  for (std::size_t i = 120; i < objs.size(); ++i) heap.remove(objs[i]);
+  heap.remove_root(objs[100]);
+  heap.add_root(objs[50]);
+  for (std::size_t i = 0; i < 120; i += 3) {
+    HeapObject* obj = heap.find(objs[i]);
+    obj->local_fields.clear();
+    obj->remote_fields.clear();
+    obj->payload.assign(i % 5, std::byte{0x5a});
+  }
+  heap.add_local_field(objs[1], objs[119]);
+  heap.add_local_field(objs[1], objs[1]);
+  for (std::uint64_t i = 1; i <= 20; i += 2) stubs.erase(make_ref_id(0, i));
+  stubs.ensure(make_ref_id(0, 77), ObjectId{3, 1}, 0).ic = 99;
+  heap.add_remote_field(objs[2], make_ref_id(0, 77));
+  for (std::uint64_t i = 1; i <= 10; i += 3) scions.erase(make_ref_id(2, i));
+  scions.ensure(make_ref_id(4, 1), 4, objs[7], 0).ic = 5;
+  stubs.find(make_ref_id(0, 2))->ic = 1234;
+
+  capture_snapshot_into(recycled, 1, 20, heap, stubs, scions);
+  EXPECT_EQ(recycled.objects.size(), heap.size());
+  EXPECT_EQ(ser.serialize(recycled), fresh(1, 20));
+
+  // Growing back past the recycled buffer must match too.
+  for (std::size_t i = 0; i < 150; ++i) heap.add_local_field(objs[0], heap.allocate(i % 3));
+  capture_snapshot_into(recycled, 1, 30, heap, stubs, scions);
+  EXPECT_EQ(ser.serialize(recycled), fresh(1, 30));
 }
 
 // ---- deterministic simulator ----
