@@ -39,6 +39,9 @@ class ByteWriter {
     buf_.clear();
   }
 
+  /// Pre-sizes the backing buffer so `n` bytes append without reallocating.
+  void reserve(std::size_t n) { buf_.reserve(n); }
+
   void u8(std::uint8_t v) { buf_.push_back(static_cast<std::byte>(v)); }
   void u16(std::uint16_t v) { raw(&v, sizeof v); }
   void u32(std::uint32_t v) { raw(&v, sizeof v); }

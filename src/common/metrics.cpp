@@ -151,8 +151,10 @@ const std::vector<HistField>& hist_fields() {
 }  // namespace
 
 void Metrics::merge(const Metrics& other) {
+  // Most counters of a per-process Metrics are zero. A relaxed load is
+  // cheap; the locked add it spares is not.
   for (const auto& f : fields()) {
-    (this->*f.member).add((other.*f.member).get());
+    if (const std::uint64_t v = (other.*f.member).get(); v != 0) (this->*f.member).add(v);
   }
   for (const auto& f : hist_fields()) {
     (this->*f.member).merge(other.*f.member);

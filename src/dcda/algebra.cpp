@@ -39,26 +39,24 @@ const AlgebraElem* AlgebraSet::find(RefId ref) const {
 
 MatchResult match(const Algebra& alg) {
   MatchResult out;
-  // Both inputs are sorted by ref: a single merge pass.
+  // Both inputs are sorted by ref: a single merge pass. Every element
+  // cancels exactly when both sets hold the same refs.
   const auto& s = alg.source.elems();
   const auto& t = alg.target.elems();
-  std::size_t i = 0, j = 0;
-  std::vector<AlgebraElem> rs, rt;
+  std::size_t i = 0, j = 0, cancelled = 0;
   while (i < s.size() && j < t.size()) {
     if (s[i].ref < t[j].ref) {
-      rs.push_back(s[i++]);
+      ++i;
     } else if (t[j].ref < s[i].ref) {
-      rt.push_back(t[j++]);
+      ++j;
     } else {
       if (s[i].ic != t[j].ic) out.ic_conflict = true;
+      ++cancelled;
       ++i;
       ++j;
     }
   }
-  while (i < s.size()) rs.push_back(s[i++]);
-  while (j < t.size()) rt.push_back(t[j++]);
-  out.source = AlgebraSet(std::move(rs));
-  out.target = AlgebraSet(std::move(rt));
+  out.residual_empty = cancelled == s.size() && cancelled == t.size();
   return out;
 }
 
@@ -85,9 +83,9 @@ Algebra algebra_from_msg(const CdmMsg& msg) {
   return alg;
 }
 
-void algebra_to_msg(const Algebra& alg, CdmMsg& msg) {
-  msg.source = alg.source.elems();
-  msg.target = alg.target.elems();
+void algebra_to_msg(Algebra alg, CdmMsg& msg) {
+  msg.source = alg.source.take();
+  msg.target = alg.target.take();
 }
 
 }  // namespace adgc

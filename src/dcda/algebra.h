@@ -15,6 +15,7 @@
 #pragma once
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/net/message.h"
@@ -34,6 +35,11 @@ class AlgebraSet {
     kConflict,  // same RefId, different IC — mutator activity detected
   };
   Insert insert(AlgebraElem e);
+
+  /// Pre-sizes the set so `n` elements fit without reallocating.
+  void reserve(std::size_t n) { elems_.reserve(n); }
+  /// Releases the sorted elements (the set is left empty).
+  std::vector<AlgebraElem> take() { return std::exchange(elems_, {}); }
 
   bool contains(RefId ref) const;
   const AlgebraElem* find(RefId ref) const;
@@ -56,19 +62,20 @@ struct Algebra {
   std::string to_string() const;
 };
 
-/// Result of matching an algebra.
+/// Verdict of matching an algebra. The residual sets themselves (unresolved
+/// dependencies, traversed stubs not yet depended upon) are never built:
+/// the detector only asks whether they are empty.
 struct MatchResult {
-  AlgebraSet source;     // unresolved dependencies
-  AlgebraSet target;     // traversed stubs not (yet) depended upon
-  bool ic_conflict = false;  // same RefId in both sets with different ICs
+  bool ic_conflict = false;     // same RefId in both sets with different ICs
+  bool residual_empty = false;  // every element cancelled against the other set
 
-  bool cycle_found() const { return !ic_conflict && source.empty() && target.empty(); }
+  bool cycle_found() const { return !ic_conflict && residual_empty; }
 };
 
 MatchResult match(const Algebra& alg);
 
-/// Wire conversion.
+/// Wire conversion. algebra_to_msg moves the sets into the message.
 Algebra algebra_from_msg(const CdmMsg& msg);
-void algebra_to_msg(const Algebra& alg, CdmMsg& msg);
+void algebra_to_msg(Algebra alg, CdmMsg& msg);
 
 }  // namespace adgc

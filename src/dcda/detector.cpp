@@ -4,6 +4,7 @@
 
 #include "src/common/log.h"
 #include "src/dcda/cdm.h"
+#include "src/net/message.h"
 
 namespace adgc {
 
@@ -33,11 +34,11 @@ bool Detector::start_detection(RefId candidate, SimTime now) {
   base.hops = 0;
 
   // Alg_0 = {{candidate} → {}} — the candidate scion is the first dependency.
-  Algebra delivered;  // nothing delivered yet: empty baseline
+  // Nothing was delivered, so Alg_0 already differs from the (empty) baseline.
   Algebra alg;
   alg.source.insert({candidate, eff_ic(scion->ic)});
 
-  const int sent = expand(base, *scion, delivered, std::move(alg));
+  const int sent = expand(base, *scion, alg, /*grew=*/true);
   if (sent > 0 && hooks_.cdm_burst_end) hooks_.cdm_burst_end();
   if (sent == 0) {
     // Every branch was locally reachable, duplicate or absent: detection
@@ -173,18 +174,18 @@ void Detector::on_cdm_impl(const CdmMsg& msg, SimTime now) {
   }
 
   // Proceed with CDM-Graph construction: fold our snapshot in.
-  const Algebra delivered = alg;
-  if (alg.source.insert({scion->ref, eff_ic(scion->ic)}) == AlgebraSet::Insert::kConflict) {
+  const AlgebraSet::Insert arrival = alg.source.insert({scion->ref, eff_ic(scion->ic)});
+  if (arrival == AlgebraSet::Insert::kConflict) {
     metrics_.detections_aborted_ic.add();
     abort_event(obs::AbortReason::kMatchIc);
     return;
   }
-  const int sent = expand(msg, *scion, delivered, std::move(alg));
+  const int sent = expand(msg, *scion, alg, arrival == AlgebraSet::Insert::kAdded);
   if (sent > 0 && hooks_.cdm_burst_end) hooks_.cdm_burst_end();
 }
 
-int Detector::expand(const CdmMsg& base, const ScionSummary& scion, const Algebra& delivered,
-                     Algebra alg) {
+int Detector::expand(const CdmMsg& base, const ScionSummary& scion, const Algebra& alg,
+                     bool grew) {
   int sent = 0;
   for (RefId stub_ref : scion.stubs_from) {
     const StubSummary* stub = snap_->stub(stub_ref);
@@ -195,28 +196,38 @@ int Detector::expand(const CdmMsg& base, const ScionSummary& scion, const Algebr
       metrics_.detections_aborted_local.add();
       continue;
     }
-    Algebra derived = alg;
+    // Sized up front, so the inserts below never reallocate.
+    Algebra derived;
+    derived.source.reserve(alg.source.size() + stub->scions_to.size());
+    derived.target.reserve(alg.target.size() + 1);
+    derived.source = alg.source;
+    derived.target = alg.target;
+    // Sets only grow, so the derivation equals the delivered algebra exactly
+    // when no insert (the arrival scion's included) added an element.
+    bool added = grew;
     bool conflict = false;
     // Extra dependencies: every other scion converging on this stub must be
     // resolved before a cycle may be declared (§3.1 step 5).
     for (RefId dep : stub->scions_to) {
       const ScionSummary* dep_scion = snap_->scion(dep);
       if (!dep_scion) continue;
-      if (derived.source.insert({dep, eff_ic(dep_scion->ic)}) ==
-          AlgebraSet::Insert::kConflict) {
+      const AlgebraSet::Insert r = derived.source.insert({dep, eff_ic(dep_scion->ic)});
+      if (r == AlgebraSet::Insert::kConflict) {
         conflict = true;
         break;
       }
+      added = added || r == AlgebraSet::Insert::kAdded;
     }
-    if (!conflict && derived.target.insert({stub_ref, eff_ic(stub->ic)}) ==
-                         AlgebraSet::Insert::kConflict) {
-      conflict = true;
+    if (!conflict) {
+      const AlgebraSet::Insert r = derived.target.insert({stub_ref, eff_ic(stub->ic)});
+      conflict = r == AlgebraSet::Insert::kConflict;
+      added = added || r == AlgebraSet::Insert::kAdded;
     }
     if (conflict) {
       metrics_.detections_aborted_ic.add();
       continue;
     }
-    if (derived == delivered) {
+    if (!added) {
       // The derivation adds no information: this branch already traced that
       // sub-cycle. Terminate it (ensures termination on mutually-linked
       // cycles, §3.1 step 15).
@@ -230,14 +241,16 @@ int Detector::expand(const CdmMsg& base, const ScionSummary& scion, const Algebr
       metrics_.detections_aborted_ic.add();
       continue;
     }
-    CdmMsg out = base;
+    CdmMsg out;
+    out.detection = base.detection;
+    out.candidate = base.candidate;
     out.via = stub_ref;
     out.via_ic = eff_ic(stub->ic);
     out.hops = base.hops + 1;
-    algebra_to_msg(derived, out);
+    algebra_to_msg(std::move(derived), out);
     metrics_.cdms_sent.add();
-    metrics_.cdm_bytes.add(encoded_size(out));
-    hooks_.send_cdm(stub->target.owner, out);
+    metrics_.cdm_bytes.add(wire_size(out));
+    hooks_.send_cdm(stub->target.owner, std::move(out));
     ++sent;
   }
   return sent;

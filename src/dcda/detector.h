@@ -39,7 +39,9 @@ class Detector {
  public:
   struct Hooks {
     /// Sends a CDM to the owner process of the stub being followed.
-    std::function<void(ProcessId dst, const CdmMsg& msg)> send_cdm;
+    /// The message is handed over by value: the detector builds it for
+    /// this call alone, so the sender may move it on.
+    std::function<void(ProcessId dst, CdmMsg msg)> send_cdm;
     /// A detection proved a cycle at this process: revalidate the live
     /// scion `victim` (exists, IC == expected_ic, target not root-reachable)
     /// and delete it. `victim` is the CDM's arrival scion — the empty match
@@ -111,10 +113,10 @@ class Detector {
   }
 
   /// Follows every viable stub out of `scion`, deriving and sending CDMs.
-  /// `delivered` is the algebra as it arrived (dup-check baseline); `alg`
-  /// additionally contains the arrival scion. Returns #CDMs sent.
-  int expand(const CdmMsg& base, const ScionSummary& scion, const Algebra& delivered,
-             Algebra alg);
+  /// `alg` is the delivered algebra plus the arrival scion; `grew` says
+  /// whether that arrival scion was new to it (the dup-check baseline is
+  /// the algebra as delivered). Returns #CDMs sent.
+  int expand(const CdmMsg& base, const ScionSummary& scion, const Algebra& alg, bool grew);
 
   /// Returns true if this exact CDM content was processed recently
   /// (bounded FIFO cache; duplicates are safe to drop).

@@ -6,8 +6,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "src/common/log.h"
-
 namespace adgc::mc {
 
 namespace {
@@ -18,17 +16,7 @@ namespace {
 void drain(Runtime& rt) {
   for (int guard = 0; guard < 200'000; ++guard) {
     rt.prune_stale_events();
-    bool fired = false;
-    for (const Runtime::PendingInfo& pi : rt.pending_infos()) {
-      if (pi.when >= kFarFuture) continue;
-      ADGC_TRACE("mc drain: exec " << (pi.is_message ? "msg" : "timer") << " src="
-                                   << pi.src << " dst=" << pi.dst << " tag="
-                                   << static_cast<int>(pi.tag) << " when=" << pi.when);
-      rt.execute_event(pi.id);
-      fired = true;
-      break;  // executing may enqueue/invalidate others: re-enumerate
-    }
-    if (!fired) return;
+    if (!rt.execute_first_due(kFarFuture)) return;
   }
 }
 
@@ -100,12 +88,13 @@ ScheduleOutcome Explorer::run_schedule(ScheduleStrategy& strategy) {
 
   std::vector<Decision> choices;
   std::vector<std::uint64_t> event_ids;  // parallel to choices; 0 = none
+  std::vector<Runtime::PendingInfo> pending;
 
   for (std::uint32_t step = 0; step < opts_.max_steps; ++step) {
     rt.prune_stale_events();
     choices.clear();
     event_ids.clear();
-    const std::vector<Runtime::PendingInfo> pending = rt.pending_infos();
+    rt.pending_infos(pending);
 
     if (script_next < scenario->script_size()) {
       // A crashed mutator's scripted actions die with it: the step may name
@@ -210,7 +199,7 @@ ScheduleOutcome Explorer::run_schedule(ScheduleStrategy& strategy) {
       }
     }
 
-    if (auto v = check_reachable_intact(rt, &tainted)) {
+    if (auto v = check_reachable_intact(rt, &tainted, &reach_scratch_)) {
       out.violation = std::move(v);
       break;
     }
@@ -227,7 +216,7 @@ ScheduleOutcome Explorer::run_schedule(ScheduleStrategy& strategy) {
       scenario->apply_script(rt, script_next++);
     }
     settle(rt, opts_.settle_rounds, scenario->expected_survivors());
-    if (auto v = check_reachable_intact(rt, &tainted)) {
+    if (auto v = check_reachable_intact(rt, &tainted, &reach_scratch_)) {
       out.violation = std::move(v);
     } else if (auto g = check_no_garbage(rt)) {
       out.violation = std::move(g);

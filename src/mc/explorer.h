@@ -89,6 +89,7 @@ class Explorer {
   ScheduleOutcome run_schedule(ScheduleStrategy& strategy);
 
   ExplorerOptions opts_;
+  ReachScratch reach_scratch_;  // the safety oracle's buffers, kept across schedules
 };
 
 /// Re-executes a recorded trace: options (scenario, seed, bounds, knob) are

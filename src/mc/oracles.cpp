@@ -1,6 +1,5 @@
 #include "src/mc/oracles.h"
 
-#include <deque>
 #include <sstream>
 
 #include "src/sim/harness.h"
@@ -14,9 +13,14 @@ bool is_tainted(const std::unordered_set<ProcessId>* tainted, ProcessId pid) {
 }  // namespace
 
 std::optional<std::string> check_reachable_intact(
-    const Runtime& rt, const std::unordered_set<ProcessId>* tainted) {
-  std::unordered_set<ObjectId> visited;
-  std::deque<ObjectId> frontier;
+    const Runtime& rt, const std::unordered_set<ProcessId>* tainted,
+    ReachScratch* scratch) {
+  std::optional<ReachScratch> own;
+  ReachScratch& sc = scratch != nullptr ? *scratch : own.emplace();
+  auto& visited = sc.visited;
+  auto& frontier = sc.frontier;
+  visited.clear();
+  frontier.clear();
 
   for (ProcessId pid = 0; pid < rt.size(); ++pid) {
     if (!rt.alive(pid)) continue;
@@ -31,9 +35,8 @@ std::optional<std::string> check_reachable_intact(
     }
   }
 
-  while (!frontier.empty()) {
-    const ObjectId cur = frontier.front();
-    frontier.pop_front();
+  for (std::size_t head = 0; head < frontier.size(); ++head) {
+    const ObjectId cur = frontier[head];
     const Process& proc = rt.proc(cur.owner);
     const HeapObject* obj = proc.heap().find(cur.seq);
     if (!obj) continue;  // unreachable: insertion guaranteed existence

@@ -268,6 +268,10 @@ RuntimeConfig mc_config(std::uint64_t seed) {
   // Explorer re-enables it when ExplorerOptions::snapshot_pipeline_latency_us
   // is set, which adds the summary-publish timer as a choice point.
   cfg.proc.snapshot_pipeline = false;
+  // Nothing in the model checker reads trace events, and every explored
+  // Runtime would otherwise reserve a ring per process and take its lock
+  // for each emitted event.
+  cfg.proc.trace_ring_capacity = 0;
   return cfg;
 }
 

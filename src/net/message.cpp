@@ -8,7 +8,23 @@ namespace {
 // can peek them; this alias keeps the codec bodies unchanged.
 using Tag = MessageTag;
 
-void put_refs(ByteWriter& w, const std::vector<RefId>& v) {
+/// Counts the bytes a ByteWriter would append, writing nothing: the writer
+/// wire_size() hands to the same Encoder that encode_message() runs.
+struct SizeCounter {
+  std::size_t n = 0;
+
+  void u8(std::uint8_t) { n += 1; }
+  void u32(std::uint32_t) { n += 4; }
+  void u64(std::uint64_t) { n += 8; }
+  void boolean(bool) { n += 1; }
+  void object_id(ObjectId) { n += 12; }
+  void detection_id(DetectionId) { n += 12; }
+  void bytes(std::span<const std::byte> b) { n += 4 + b.size(); }
+  void raw(const void*, std::size_t len) { n += len; }
+};
+
+template <class W>
+void put_refs(W& w, const std::vector<RefId>& v) {
   w.u32(static_cast<std::uint32_t>(v.size()));
   for (RefId r : v) w.u64(r);
 }
@@ -22,7 +38,8 @@ std::vector<RefId> get_refs(ByteReader& r) {
   return v;
 }
 
-void put_elems(ByteWriter& w, const std::vector<AlgebraElem>& v) {
+template <class W>
+void put_elems(W& w, const std::vector<AlgebraElem>& v) {
   w.u32(static_cast<std::uint32_t>(v.size()));
   for (const auto& e : v) {
     w.u64(e.ref);
@@ -44,8 +61,9 @@ std::vector<AlgebraElem> get_elems(ByteReader& r) {
   return v;
 }
 
+template <class W>
 struct Encoder {
-  ByteWriter& w;
+  W& w;
 
   void operator()(const InvokeMsg& m) {
     w.u8(static_cast<std::uint8_t>(Tag::kInvoke));
@@ -123,14 +141,27 @@ struct Encoder {
 
 }  // namespace
 
+std::size_t wire_size(const MessagePayload& m) {
+  SizeCounter c;
+  std::visit(Encoder<SizeCounter>{c}, m);
+  return c.n;
+}
+
+std::size_t wire_size(const CdmMsg& m) {
+  SizeCounter c;
+  Encoder<SizeCounter>{c}(m);
+  return c.n;
+}
+
 std::vector<std::byte> encode_message(const MessagePayload& m) {
   ByteWriter w;
-  std::visit(Encoder{w}, m);
+  w.reserve(wire_size(m));
+  std::visit(Encoder<ByteWriter>{w}, m);
   return w.take();
 }
 
 void encode_message_into(ByteWriter& w, const MessagePayload& m) {
-  std::visit(Encoder{w}, m);
+  std::visit(Encoder<ByteWriter>{w}, m);
 }
 
 MessagePayload decode_message(std::span<const std::byte> bytes) {

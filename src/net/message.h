@@ -191,8 +191,15 @@ struct Envelope {
   std::vector<std::byte> bytes;  // encoded MessagePayload
 };
 
-/// Encodes a payload (type tag + body).
+/// Encodes a payload (type tag + body) into a buffer allocated once, at
+/// exactly wire_size(m) bytes.
 std::vector<std::byte> encode_message(const MessagePayload& m);
+
+/// Size in bytes of encode_message(m), computed by the same encoder without
+/// writing anything. The CdmMsg overload sizes a CDM without wrapping (and
+/// so copying) it into a MessagePayload.
+std::size_t wire_size(const MessagePayload& m);
+std::size_t wire_size(const CdmMsg& m);
 
 /// Appends the encoding of `m` to an existing writer. The batch encoder uses
 /// this to serialize message bodies directly into one contiguous arena

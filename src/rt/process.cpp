@@ -44,7 +44,9 @@ Process::Process(ProcessId pid, const ProcessConfig& cfg, Env& env, Incarnation 
   }
   batcher_ = std::make_unique<Batcher>(cfg_, env_);
   Detector::Hooks hooks;
-  hooks.send_cdm = [this](ProcessId dst, const CdmMsg& msg) { send(dst, msg); };
+  hooks.send_cdm = [this](ProcessId dst, CdmMsg msg) {
+    send(dst, MessagePayload{std::move(msg)});
+  };
   hooks.cdm_burst_end = [this] {
     batcher_->flush_cdm_batches(Batcher::FlushReason::kBurst);
   };

@@ -110,9 +110,8 @@ void Runtime::enable_explicit_schedule() {
   }
 }
 
-std::vector<Runtime::PendingInfo> Runtime::pending_infos() const {
-  std::vector<PendingInfo> out;
-  out.reserve(list_.size());
+void Runtime::pending_infos(std::vector<PendingInfo>& out) const {
+  out.clear();
   for (const Event& ev : list_) {
     PendingInfo info;
     info.id = ev.seq;
@@ -127,18 +126,26 @@ std::vector<Runtime::PendingInfo> Runtime::pending_infos() const {
     }
     out.push_back(info);
   }
-  return out;
 }
 
 bool Runtime::execute_event(std::uint64_t id) {
-  for (auto it = list_.begin(); it != list_.end(); ++it) {
-    if (it->seq != id) continue;
-    Event ev = std::move(*it);
-    list_.erase(it);
-    execute(std::move(ev));
-    return true;
-  }
-  return false;
+  auto it = list_.begin();
+  while (it != list_.end() && it->seq != id) ++it;
+  return execute_pending(it);
+}
+
+bool Runtime::execute_first_due(SimTime horizon) {
+  auto it = list_.begin();
+  while (it != list_.end() && it->when >= horizon) ++it;
+  return execute_pending(it);
+}
+
+bool Runtime::execute_pending(std::vector<Event>::iterator it) {
+  if (it == list_.end()) return false;
+  Event ev = std::move(*it);
+  list_.erase(it);
+  execute(std::move(ev));
+  return true;
 }
 
 bool Runtime::drop_event(std::uint64_t id) {

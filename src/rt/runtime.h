@@ -76,11 +76,16 @@ class Runtime {
   /// pending list. One-way switch.
   void enable_explicit_schedule();
   bool explicit_schedule() const { return explicit_; }
-  /// The pending events, in creation order (deterministic).
-  std::vector<PendingInfo> pending_infos() const;
+  /// Replaces the contents of `out` with the pending events, in creation
+  /// order (deterministic). Callers keep `out` across steps, so its storage
+  /// is allocated once.
+  void pending_infos(std::vector<PendingInfo>& out) const;
   /// Executes the pending event `id` now; logical time advances to
   /// max(now, event time). Returns false if no such event is pending.
   bool execute_event(std::uint64_t id);
+  /// Executes the first pending event (creation order) whose time is before
+  /// `horizon`, as execute_event() would. Returns false if there is none.
+  bool execute_first_due(SimTime horizon);
   /// Discards the pending event `id` without executing it (models message
   /// loss when it is an Envelope). Returns false if no such event is pending.
   bool drop_event(std::uint64_t id);
@@ -146,6 +151,8 @@ class Runtime {
 
   void push_at(SimTime when, std::variant<Envelope, TimerEvent> what);
   void execute(Event&& ev);
+  /// Removes the pending event at `it` and executes it; false at end().
+  bool execute_pending(std::vector<Event>::iterator it);
   /// True when execute() would discard the event without any effect.
   bool event_stale(const Event& ev) const;
 

@@ -2,7 +2,10 @@
 // paper's §3 walkthrough (steps 1-26) and the §3.1 mutually-linked example.
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "src/dcda/algebra.h"
+#include "tests/algebra_reference.h"
 
 namespace adgc {
 namespace {
@@ -42,7 +45,7 @@ TEST(AlgebraMatch, DisjointSetsDontReduce) {
   Algebra a;
   a.source.insert(e(100));  // F_P2
   a.target.insert(e(200));  // Q_P4
-  const MatchResult m = match(a);
+  const test::ResidualMatch m = test::residual_match(a);
   EXPECT_FALSE(m.ic_conflict);
   EXPECT_FALSE(m.cycle_found());
   EXPECT_EQ(m.source.size(), 1u);
@@ -56,7 +59,7 @@ TEST(AlgebraMatch, PaperWalkthroughFig3) {
     Algebra a;
     a.source = AlgebraSet({e(1), e(2)});
     a.target = AlgebraSet({e(2), e(3)});
-    const MatchResult m = match(a);
+    const test::ResidualMatch m = test::residual_match(a);
     EXPECT_FALSE(m.cycle_found());
     ASSERT_EQ(m.source.size(), 1u);
     EXPECT_EQ(m.source.elems()[0].ref, 1u);
@@ -68,7 +71,7 @@ TEST(AlgebraMatch, PaperWalkthroughFig3) {
     Algebra a;
     a.source = AlgebraSet({e(1), e(2), e(3)});
     a.target = AlgebraSet({e(2), e(3), e(4)});
-    const MatchResult m = match(a);
+    const test::ResidualMatch m = test::residual_match(a);
     EXPECT_FALSE(m.cycle_found());
     EXPECT_EQ(m.source.elems()[0].ref, 1u);
     EXPECT_EQ(m.target.elems()[0].ref, 4u);
@@ -78,8 +81,7 @@ TEST(AlgebraMatch, PaperWalkthroughFig3) {
     Algebra a;
     a.source = AlgebraSet({e(1), e(2), e(3), e(4)});
     a.target = AlgebraSet({e(2), e(3), e(4), e(1)});
-    const MatchResult m = match(a);
-    EXPECT_TRUE(m.cycle_found());
+    EXPECT_TRUE(match(a).cycle_found());
   }
 }
 
@@ -89,7 +91,7 @@ TEST(AlgebraMatch, MutualCyclesLeaveDependency) {
   Algebra a;
   a.source = AlgebraSet({e(1), e(2), e(3), e(4), e(5)});
   a.target = AlgebraSet({e(2), e(4), e(5), e(1)});
-  const MatchResult m = match(a);
+  const test::ResidualMatch m = test::residual_match(a);
   EXPECT_FALSE(m.cycle_found());
   ASSERT_EQ(m.source.size(), 1u);
   EXPECT_EQ(m.source.elems()[0].ref, 3u);  // Y_P5
@@ -118,6 +120,46 @@ TEST(AlgebraMatch, EmptyAlgebraIsVacuouslyCycle) {
   // algebra itself is total.
   Algebra a;
   EXPECT_TRUE(match(a).cycle_found());
+}
+
+TEST(AlgebraMatch, VerdictAgreesWithResidualSets) {
+  // Production match() counts cancellations instead of building the
+  // residual sets; its verdict must agree with the reference on random
+  // algebras. Small ref and IC ranges make overlaps, exact cancellations
+  // and counter conflicts all common.
+  std::mt19937_64 rng(20050404);
+  int cycles = 0, conflicts = 0;
+  for (int trial = 0; trial < 20000; ++trial) {
+    Algebra a;
+    const int ns = static_cast<int>(rng() % 6);
+    const int nt = static_cast<int>(rng() % 6);
+    const std::uint64_t ics = 1 + rng() % 3;
+    for (int k = 0; k < ns; ++k) a.source.insert(e(rng() % 8, rng() % ics));
+    if (rng() % 4 == 0) a.target = a.source;  // bias toward full cancellation
+    for (int k = 0; k < nt; ++k) a.target.insert(e(rng() % 8, rng() % ics));
+    const MatchResult m = match(a);
+    const test::ResidualMatch ref = test::residual_match(a);
+    ASSERT_EQ(m.ic_conflict, ref.ic_conflict) << a.to_string();
+    ASSERT_EQ(m.residual_empty, ref.source.empty() && ref.target.empty()) << a.to_string();
+    ASSERT_EQ(m.cycle_found(), ref.cycle_found()) << a.to_string();
+    cycles += m.cycle_found();
+    conflicts += m.ic_conflict;
+  }
+  // The generator must reach both interesting verdicts.
+  EXPECT_GT(cycles, 100);
+  EXPECT_GT(conflicts, 100);
+}
+
+TEST(Algebra, MsgMovesSetsIntoMessage) {
+  Algebra a;
+  a.source = AlgebraSet({e(10, 1), e(20, 2)});
+  a.target = AlgebraSet({e(30, 3)});
+  CdmMsg msg;
+  algebra_to_msg(std::move(a), msg);
+  EXPECT_EQ(msg.source, (std::vector<AlgebraElem>{e(10, 1), e(20, 2)}));
+  EXPECT_EQ(msg.target, (std::vector<AlgebraElem>{e(30, 3)}));
+  EXPECT_TRUE(a.source.empty());  // NOLINT(bugprone-use-after-move): take() empties
+  EXPECT_TRUE(a.target.empty());  // NOLINT(bugprone-use-after-move)
 }
 
 TEST(Algebra, EqualityIsStructural) {

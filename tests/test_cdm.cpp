@@ -26,16 +26,16 @@ TEST(CdmHelpers, DescribeRendersEverything) {
   EXPECT_NE(s.find("hops=5"), std::string::npos);
 }
 
-TEST(CdmHelpers, EncodedSizeGrowsWithAlgebra) {
+TEST(CdmHelpers, WireSizeGrowsWithAlgebra) {
   CdmMsg small;
   small.detection = {0, 1};
-  const std::size_t base = encoded_size(small);
+  const std::size_t base = wire_size(small);
   CdmMsg big = small;
   for (std::uint64_t i = 0; i < 16; ++i) {
     big.source.push_back({make_ref_id(0, i), i});
     big.target.push_back({make_ref_id(1, i), i});
   }
-  EXPECT_GT(encoded_size(big), base + 16 * 2 * 16 - 1);
+  EXPECT_GT(wire_size(big), base + 16 * 2 * 16 - 1);
 }
 
 // ---- extra cycle shapes, end-to-end ----

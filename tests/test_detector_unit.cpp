@@ -224,6 +224,63 @@ TEST_F(DetectorUnit, DerivationEqualToDeliveredIsDropped) {
   EXPECT_EQ(metrics.detections_dropped_dup.get(), 1u);
 }
 
+TEST_F(DetectorUnit, DuplicateDropFiresExactlyWhenDerivationAddsNothing) {
+  // Three inserts can grow the delivered algebra: the arrival (via) scion S,
+  // the converging scion S2 (in T's ScionsTo) and the followed stub T. The
+  // branch is dropped as a duplicate exactly when none of them is new.
+  const RefId S2 = make_ref_id(0, 8);
+  const RefId C = make_ref_id(3, 9);  // the candidate, at the initiator
+  install({{S, 0, 7, 1, {T}}, {S2, 0, 8, 2, {T}}},
+          {{T, 0, ObjectId{2, 1}, false, {S, S2}}});
+  for (int mask = 0; mask < 8; ++mask) {
+    const bool s_new = (mask & 1) != 0;
+    const bool s2_new = (mask & 2) != 0;
+    const bool t_new = (mask & 4) != 0;
+    CdmMsg msg;
+    msg.detection = {3, static_cast<std::uint64_t>(mask + 1)};
+    msg.candidate = C;
+    msg.via = S;
+    msg.hops = 2;
+    msg.source = {{C, 0}};
+    if (!s_new) msg.source.push_back({S, 0});
+    if (!s2_new) msg.source.push_back({S2, 0});
+    if (!t_new) msg.target.push_back({T, 0});
+    const std::uint64_t dup_before = metrics.detections_dropped_dup.get();
+    const std::size_t sent_before = cap.sent.size();
+    det->on_cdm(msg, 0);
+    const bool adds = s_new || s2_new || t_new;
+    EXPECT_EQ(metrics.detections_dropped_dup.get() - dup_before, adds ? 0u : 1u)
+        << "mask=" << mask;
+    ASSERT_EQ(cap.sent.size() - sent_before, adds ? 1u : 0u) << "mask=" << mask;
+    if (adds) {
+      // Sorted by ref: S < S2 < C.
+      const CdmMsg& out = cap.sent.back().msg;
+      EXPECT_EQ(out.source, (std::vector<AlgebraElem>{{S, 0}, {S2, 0}, {C, 0}})) << mask;
+      EXPECT_EQ(out.target, (std::vector<AlgebraElem>{{T, 0}})) << mask;
+    }
+  }
+}
+
+TEST_F(DetectorUnit, OnlyNewViaScionStillForwards) {
+  // The one case the per-branch inserts cannot see: everything the stub
+  // contributes is already present, and only the arrival scion's insert
+  // (before expansion) was new. The derivation differs from what was
+  // delivered, so the branch must go on.
+  install({{S, 0, 7, 1, {T}}}, {{T, 0, ObjectId{2, 1}, false, {S}}});
+  CdmMsg msg;
+  msg.detection = {3, 1};
+  msg.candidate = make_ref_id(3, 9);
+  msg.via = S;
+  msg.hops = 3;
+  msg.source = {{make_ref_id(3, 9), 0}};
+  msg.target = {{T, 0}};
+  det->on_cdm(msg, 0);
+  EXPECT_EQ(metrics.detections_dropped_dup.get(), 0u);
+  ASSERT_EQ(cap.sent.size(), 1u);
+  EXPECT_EQ(cap.sent[0].msg.source.size(), 2u);
+  EXPECT_EQ(cap.sent[0].msg.hops, 4u);
+}
+
 TEST_F(DetectorUnit, ExtraDependenciesEnterSourceSet) {
   const RefId S2 = make_ref_id(0, 8);  // converging scion (ScionsTo)
   install({{S, 0, 7, 1, {T}}, {S2, 6, 8, 2, {T}}},

@@ -2,6 +2,10 @@
 // rejection.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <set>
+
 #include "src/net/message.h"
 
 namespace adgc {
@@ -231,6 +235,106 @@ TEST(Messages, BatchItemGarbagePoisonsWholeBatch) {
   BatchMsg retired = sample_batch();
   retired.items.push_back(zero_body(7, 32));
   EXPECT_THROW(decode_batch_items(retired), DecodeError);
+}
+
+
+// ---- wire_size / exact-size encoding ----
+
+/// encode_message must size its buffer once, exactly: wire_size() (the same
+/// encoder, counting instead of writing) equals the encoded length, and the
+/// buffer holds no slack from growing by doubling.
+void expect_exact_encoding(const MessagePayload& m) {
+  const std::vector<std::byte> bytes = encode_message(m);
+  EXPECT_EQ(wire_size(m), bytes.size()) << message_kind(m);
+  EXPECT_EQ(bytes.capacity(), bytes.size()) << message_kind(m);
+  if (const auto* cdm = std::get_if<CdmMsg>(&m)) {
+    EXPECT_EQ(wire_size(*cdm), bytes.size());
+  }
+}
+
+std::vector<MessagePayload> large_payloads() {
+  InvokeMsg inv;
+  inv.ref = make_ref_id(1, 5);
+  inv.effect = InvokeEffect::kStoreArgs;
+  for (std::uint64_t i = 0; i < 1000; ++i) inv.args.push_back({make_ref_id(1, i), {2, i}});
+  inv.payload.assign(65536, std::byte{0x5a});
+  NewSetStubsMsg nss;
+  nss.export_seq = 9;
+  for (std::uint64_t i = 0; i < 5000; ++i) nss.live.push_back(make_ref_id(3, i));
+  CdmMsg cdm;
+  cdm.detection = {2, 8};
+  cdm.hops = 40;
+  for (std::uint64_t i = 0; i < 700; ++i) {
+    cdm.source.push_back({make_ref_id(0, i), i});
+    cdm.target.push_back({make_ref_id(1, i), i + 1});
+  }
+  BatchMsg batch;
+  for (int i = 0; i < 50; ++i) batch.items.push_back(encode_message(MessagePayload{cdm}));
+  return {inv,
+          ReplyMsg{make_ref_id(1, 1), ~0ull, ~0ull},
+          nss,
+          AddScionMsg{make_ref_id(4, 4), 7, 3, 11},
+          AddScionAckMsg{make_ref_id(4, 4), 11},
+          cdm,
+          batch,
+          EvictedNackMsg{12},
+          NssSolicitMsg{}};
+}
+
+TEST(Messages, WireSizeIsExactForEveryTag) {
+  std::set<std::uint8_t> tags;
+  for (const MessagePayload& m : large_payloads()) {
+    expect_exact_encoding(m);
+    tags.insert(static_cast<std::uint8_t>(encode_message(m)[0]));
+    // The same alternative with every vector empty.
+    MessagePayload empty = m;
+    std::visit([](auto& msg) { msg = std::decay_t<decltype(msg)>{}; }, empty);
+    expect_exact_encoding(empty);
+  }
+  const std::set<MessageTag> all = {
+      MessageTag::kInvoke,
+      MessageTag::kReply,
+      MessageTag::kNewSetStubs,
+      MessageTag::kAddScion,
+      MessageTag::kAddScionAck,
+      MessageTag::kCdm,
+      MessageTag::kBatch,
+      MessageTag::kEvictedNack,
+      MessageTag::kNssSolicit,
+  };
+  EXPECT_EQ(tags.size(), all.size());
+  for (MessageTag t : all) EXPECT_TRUE(tags.contains(static_cast<std::uint8_t>(t)));
+}
+
+TEST(Messages, WireSizeIsExactOverFuzzCorpus) {
+  // Every seed of the checked-in fuzz corpus that decodes as a message (and
+  // every item of a decodable batch) re-encodes to exactly wire_size bytes.
+  std::size_t decoded = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(ADGC_FUZZ_CORPUS_DIR)) {
+    std::vector<std::byte> bytes(entry.file_size());
+    std::ifstream in(entry.path(), std::ios::binary);
+    in.read(reinterpret_cast<char*>(bytes.data()), static_cast<std::streamsize>(bytes.size()));
+    MessagePayload m;
+    try {
+      m = decode_message(bytes);
+    } catch (const DecodeError&) {
+      continue;  // malformed on purpose, or not a message seed
+    }
+    SCOPED_TRACE(entry.path().filename().string());
+    ++decoded;
+    expect_exact_encoding(m);
+    EXPECT_EQ(encode_message(m), bytes);
+    if (const auto* batch = std::get_if<BatchMsg>(&m)) {
+      std::vector<MessagePayload> items;
+      try {
+        items = decode_batch_items(*batch);
+      } catch (const DecodeError&) {
+        continue;  // a poisoned batch seed: its items are malformed on purpose
+      }
+      for (const MessagePayload& item : items) expect_exact_encoding(item);
+    }
+  }
+  EXPECT_GE(decoded, 8u) << "corpus seeds no longer decode: the test checks nothing";
 }
 
 }  // namespace

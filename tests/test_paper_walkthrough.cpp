@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "src/dcda/detector.h"
+#include "tests/algebra_reference.h"
 
 namespace adgc {
 namespace {
@@ -98,7 +99,7 @@ TEST(PaperWalkthrough, Section3SimpleCycle) {
   EXPECT_EQ(refs_of(sent[0].msg.source), (std::vector<RefId>{F, Q}));
   {
     // Step 13 is about the *matching*: {{F} → {O}}.
-    const MatchResult m = match(algebra_from_msg(sent[0].msg));
+    const test::ResidualMatch m = test::residual_match(algebra_from_msg(sent[0].msg));
     EXPECT_EQ(refs_of(m.source.elems()), std::vector<RefId>{F});
     EXPECT_EQ(refs_of(m.target.elems()), std::vector<RefId>{O});
     EXPECT_FALSE(m.cycle_found());
@@ -194,7 +195,7 @@ TEST(PaperWalkthrough, Section31MutualCycles) {
 
   // Steps 9-11: Matching(Alg_4a) = {{Y} → {}} — no cycle yet.
   {
-    const MatchResult m = match(algebra_from_msg(sent[0].msg));
+    const test::ResidualMatch m = test::residual_match(algebra_from_msg(sent[0].msg));
     EXPECT_FALSE(m.cycle_found());
     EXPECT_EQ(refs_of(m.source.elems()), std::vector<RefId>{Y});
     EXPECT_TRUE(m.target.empty());

@@ -35,7 +35,8 @@
 //     baseline + 10ms) — the 20% latency gate, with an absolute floor so
 //     micro-times on shared runners don't flap (a 30ms bench jitters by
 //     25% on a busy machine; a 300ms one doesn't).
-//   * identity fields (calls, batching, processes, objs): must match
+//   * identity fields (calls, batching, processes, objs, pipeline,
+//     snapshots, schedules): must match
 //     exactly; a mismatch means the bench changed shape and the baseline
 //     needs a refresh.
 //   * anything else: informational (printed, never gating).
@@ -132,7 +133,7 @@ enum class Gate {
 
 Gate classify(const std::string& name) {
   if (name == "calls" || name == "batching" || name == "processes" || name == "objs" ||
-      name == "pipeline" || name == "snapshots") {
+      name == "pipeline" || name == "snapshots" || name == "schedules") {
     return Gate::kIdentity;
   }
   if (name == "msgs_per_rmi" || name == "bytes_per_rmi" || name == "messages" ||
