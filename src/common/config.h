@@ -41,9 +41,9 @@ struct ProcessConfig {
   SimTime add_scion_retry_us = 5'000;
 
   // --- adaptive degradation (per-peer health, backoff, load shedding) ---
-  /// Master switch. When off, every retry uses its fixed interval, no peer
-  /// is ever suspected and nothing is shed — the pre-adaptive baseline the
-  /// chaos harness compares against.
+  /// Master switch. When off, every retry uses its fixed interval and
+  /// candidate selection ignores peer suspicion — the pre-adaptive baseline
+  /// the chaos harness compares against.
   bool adaptive_faults = true;
   /// Cap on the per-candidate detection re-launch backoff (base is
   /// `dcda_scan_period_us`, doubled per consecutive timeout).
@@ -54,13 +54,15 @@ struct ProcessConfig {
 
   // --- permanent-failure eviction ---
   /// Escalates sustained suspicion into committed death: a peer that has
-  /// been continuously suspected — or that holds scions here and has been
-  /// silent — for this long is evicted (its scions dropped, stubs toward it
-  /// retired, detections crossing it aborted, transport/batcher state
-  /// purged) and tombstoned by incarnation. Must sit well above the longest
-  /// partition the deployment should ride out: a false positive degrades to
-  /// a forced crash/restart of the accused peer, never to a dangling
-  /// reference, but restarts are not free. 0 disables eviction entirely.
+  /// been continuously suspected for this long is evicted (its scions
+  /// dropped, stubs toward it retired, detections crossing it aborted,
+  /// transport/batcher state purged) and tombstoned by incarnation. A scion
+  /// holder or stub owner silent this long is first probed with an
+  /// NssSolicit, which turns its silence into a missed expected answer.
+  /// Must sit well above the longest partition the deployment should ride
+  /// out: a false positive degrades to a forced crash/restart of the accused
+  /// peer, never to a dangling reference, but restarts are not free. 0
+  /// disables eviction entirely.
   SimTime peer_death_timeout_us = 0;
 
   /// Grace period protecting a *pending* (never yet confirmed by its holder)

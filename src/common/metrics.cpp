@@ -69,7 +69,6 @@ const std::vector<Field>& fields() {
       {"peer_suspect_transitions", &Metrics::peer_suspect_transitions},
       {"cdms_shed", &Metrics::cdms_shed},
       {"new_set_stubs_shed", &Metrics::new_set_stubs_shed},
-      {"new_set_stubs_deferred", &Metrics::new_set_stubs_deferred},
       {"detections_deferred_backoff", &Metrics::detections_deferred_backoff},
       {"candidates_deprioritized", &Metrics::candidates_deprioritized},
       {"peers_evicted", &Metrics::peers_evicted},

@@ -90,9 +90,8 @@ struct Metrics {
 
   // Adaptive degradation (per-peer health, backoff, load shedding).
   Counter peer_suspect_transitions;     // healthy→suspected flips observed
-  Counter cdms_shed;                    // CDM dropped at the sender (window full)
-  Counter new_set_stubs_shed;           // NewSetStubs dropped at the sender
-  Counter new_set_stubs_deferred;       // periodic NSS skipped (suspected peer backoff)
+  Counter cdms_shed;                    // CDM dropped at a full TCP write queue
+  Counter new_set_stubs_shed;           // NewSetStubs dropped at a full TCP write queue
   Counter detections_deferred_backoff;  // candidate skipped (relaunch backoff)
   Counter candidates_deprioritized;     // candidate ranked last (suspected first hop)
 

@@ -161,13 +161,15 @@ class RaceScenario final : public Scenario {
 // so a handful of kLgc decisions at P0 walk the whole escalation — arm the
 // watch, solicit P1's NewSetStubs, score the unanswered probe as a strike,
 // then convict the sustained suspicion into a committed eviction of P1,
-// dropping the scion and tombstoning P1's incarnation. (Whether the probe
-// goes unanswered is itself a scheduling choice: the Explorer decides the
-// fate of the NssSolicit and of P1's answer.) The script keeps invoke/reply
-// traffic from P1 in flight so the Explorer can deliver pre-eviction
-// messages after the tombstone is in place (Evicted NACK path). Safety must
-// hold throughout: eviction may only ever reclaim objects reachable through
-// the evicted (tainted) peer, never anything rooted elsewhere.
+// dropping the scion and tombstoning P1's incarnation. P1 runs the same
+// escalation against P0, the owner of its one stub, and an eviction there
+// retires the stub. (Whether a probe goes unanswered is itself a scheduling
+// choice: the Explorer decides the fate of each NssSolicit and of its
+// answer.) The script keeps invoke/reply traffic from P1 in flight so the
+// Explorer can deliver pre-eviction messages after the tombstone is in place
+// (Evicted NACK path). Safety must hold throughout: eviction may only ever
+// reclaim objects reachable through the evicted (tainted) peer, never
+// anything rooted elsewhere.
 class EvictScenario final : public Scenario {
  public:
   ScenarioKind kind() const override { return ScenarioKind::kEvict; }
@@ -181,6 +183,9 @@ class EvictScenario final : public Scenario {
   }
   std::size_t script_size() const override { return 2; }
   void apply_script(Runtime& rt, std::size_t) override {
+    // P1 probes its silent stub owner P0 too, and may evict it first: the
+    // retired stub leaves nothing to invoke through.
+    if (!rt.proc(1).stubs().contains(h_to_x_)) return;
     rt.proc(1).invoke(h_.seq, h_to_x_, InvokeEffect::kTouch, {},
                       /*want_reply=*/true);
   }

@@ -11,13 +11,12 @@
 //                                               max(srtt, kSuspectRttFloorUs))
 //
 // where `silence` is the time since the peer was last heard from and
-// `outstanding` counts messages sent to the peer since then (so an idle but
-// healthy peer is never suspected — accrual only runs while we are actually
-// trying to talk to it).
+// `outstanding` counts expected answers sent to the peer since then. The
+// caller reports through on_send() only messages that owe it an answer
+// (Process::send: an invocation wanting its reply, AddScion, NssSolicit),
+// so one-way traffic never opens a window and an idle or merely-listening
+// peer is never suspected — silence alone never convicts.
 //
-// The tracker also carries the per-peer outgoing-window bound used for
-// priority load shedding: `outstanding` is the sender-side estimate of
-// queued/in-flight traffic toward the peer, reset by any sign of life.
 // Everything is deterministic; the backoff jitter draws from the caller's
 // seeded Rng.
 #pragma once
@@ -66,8 +65,7 @@ class PeerHealthTracker {
     /// 0) a long-idle peer is not declared silent the instant we resume
     /// sending to it.
     SimTime window_start = 0;
-    /// Messages sent to the peer since it was last heard from — the
-    /// sender-side outgoing-window estimate the shedding bound applies to.
+    /// Expected answers sent to the peer since it was last heard from.
     std::uint32_t outstanding = 0;
     /// Sticky flag for metrics: whether the last verdict was "suspected".
     /// Cleared by any sign of life, so a recovered peer leaves the
@@ -86,7 +84,7 @@ class PeerHealthTracker {
   PeerHealthTracker(const ProcessConfig& cfg, Metrics& metrics)
       : cfg_(cfg), metrics_(metrics) {}
 
-  /// A message was handed to the transport for `peer` at time `now` (take
+  /// A message that owes an answer was sent to `peer` at time `now` (take
   /// it from Env::now(); it anchors the suspicion accrual window).
   void on_send(ProcessId peer, SimTime now);
 
@@ -112,7 +110,7 @@ class PeerHealthTracker {
   /// Smoothed RTT estimate (0 when no sample yet).
   double srtt_us(ProcessId peer) const;
 
-  /// Sender-side outgoing-window estimate toward `peer`.
+  /// Expected answers outstanding toward `peer`.
   std::uint32_t outstanding(ProcessId peer) const;
 
   std::uint32_t consecutive_failures(ProcessId peer) const;

@@ -16,9 +16,9 @@
 // tables. An incarnation increase observed in a hello IS the crash
 // notification of the real-network fault model (see docs/DEPLOY.md).
 //
-// Write queues apply the PR 2 sender-side priority shedding: when the queue
-// toward a peer exceeds its bound (connection down or receiver slow), CDMs
-// are dropped first, then NewSetStubs at twice the bound; invocations,
+// Write queues are the one place that sheds traffic, by priority: when the
+// queue toward a peer exceeds its bound (connection down or receiver slow),
+// CDMs are dropped first, then NewSetStubs at twice the bound; invocations,
 // replies and AddScion handshake traffic are never shed. Both shed kinds
 // are loss-tolerant by protocol design, so shedding degrades collection
 // latency, never safety.

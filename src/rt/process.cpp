@@ -18,17 +18,22 @@ namespace {
 /// AddScion re-sends before an export is abandoned (it then leaks, never
 /// corrupts).
 constexpr int kAddScionMaxRetries = 20;
-/// Cap on exponentially backed-off delays: AddScion re-sends and
-/// NewSetStubs deferral toward suspected peers. The base of each series is
-/// its fixed interval (`add_scion_retry_us`, `lgc_period_us`).
+/// Cap on the exponentially backed-off AddScion re-send delay (its base is
+/// `add_scion_retry_us`).
 constexpr SimTime kBackoffCapUs = 200'000;
-/// Sender-side outgoing window per suspected peer (messages sent since it
-/// was last heard from). Above it CDMs are shed; above twice it NewSetStubs
-/// are too.
-constexpr std::uint32_t kPeerOutstandingLimit = 128;
 /// Peer-health slots idle (no send/hear, not suspected) this long are
 /// pruned, bounding survivor memory under peer churn.
 constexpr SimTime kPeerHealthIdlePruneUs = 600'000'000;
+
+/// The kinds that owe the sender an answer: an invocation that wants its
+/// reply, an AddScion (its ack) and an NssSolicit (a NewSetStubs). Only
+/// these open a peer's suspicion window — silence after a one-way message
+/// (NewSetStubs, CDM, ack, reply, NACK) proves nothing.
+bool expects_answer(const MessagePayload& msg) {
+  if (const auto* inv = std::get_if<InvokeMsg>(&msg)) return inv->want_reply;
+  return std::holds_alternative<AddScionMsg>(msg) ||
+         std::holds_alternative<NssSolicitMsg>(msg);
+}
 
 }  // namespace
 
@@ -93,28 +98,7 @@ void Process::dcda_tick() {
 }
 
 void Process::send(ProcessId dst, const MessagePayload& msg) {
-  // Priority load shedding: when the outgoing window toward a *suspected*
-  // peer is full, shed CDMs first, then NewSetStubs. Both protocols are
-  // loss-tolerant (a shed CDM times out at the initiator and is retried; a
-  // shed NSS is superseded by the next full-state re-send), so shedding can
-  // only delay collection, never corrupt it. Invocations, replies and the
-  // AddScion handshake are never shed.
-  if (cfg_.adaptive_faults) {
-    const std::uint32_t window = peer_health_.outstanding(dst);
-    if (window >= kPeerOutstandingLimit && peer_health_.suspected(dst, env_.now())) {
-      if (std::holds_alternative<CdmMsg>(msg)) {
-        metrics().cdms_shed.add();
-        ADGC_TRACE("P" << pid_ << " shedding CDM to suspected P" << dst);
-        return;
-      }
-      if (window >= 2 * kPeerOutstandingLimit && std::holds_alternative<NewSetStubsMsg>(msg)) {
-        metrics().new_set_stubs_shed.add();
-        ADGC_TRACE("P" << pid_ << " shedding NewSetStubs to suspected P" << dst);
-        return;
-      }
-    }
-  }
-  peer_health_.on_send(dst, env_.now());
+  if (expects_answer(msg)) peer_health_.on_send(dst, env_.now());
   // Control-plane coalescing: batchable kinds (CDM, NewSetStubs,
   // AddScionAck) queue into the peer's open batch; anything else is
   // latency-critical and flushes that batch first, preserving the relative
@@ -645,26 +629,6 @@ void Process::run_lgc() {
       build_all_new_set_stubs(stubs_, contacts_);
   std::uint64_t nss_sent = 0;
   for (ProcessId dst : contacts_) {
-    if (cfg_.adaptive_faults) {
-      // Toward a suspected peer, space the periodic NSS re-sends out
-      // exponentially instead of hammering every LGC period. NSS is an
-      // idempotent full-state replacement, so deferral only delays acyclic
-      // collection at the peer — it cannot lose state.
-      NssGate& gate = nss_gates_[dst];
-      if (peer_health_.suspected(dst, env_.now())) {
-        if (env_.now() < gate.next_ok) {
-          metrics().new_set_stubs_deferred.add();
-          continue;
-        }
-        const SimTime spacing = backoff_delay(cfg_.lgc_period_us, kBackoffCapUs,
-                                              static_cast<int>(gate.level), env_.rng());
-        gate.next_ok = env_.now() + spacing;
-        if (gate.level < 16) ++gate.level;
-      } else {
-        gate.level = 0;
-        gate.next_ok = 0;
-      }
-    }
     // The export sequence is epoch-stamped with the incarnation so the first
     // message after a restart (local counter back at 1) still sorts above
     // everything the lost incarnation sent.
@@ -807,11 +771,11 @@ void Process::on_evicted_nack(ProcessId src, const EvictedNackMsg& msg) {
 
 void Process::on_nss_solicit(ProcessId src) {
   if (!cfg_.dgc_enabled) return;
-  // Answer unconditionally and immediately, bypassing the suspected-peer
-  // NSS deferral gate: the solicitor is about to convict us on silence, and
-  // an empty set is as meaningful an answer as a full one — it expires
-  // every scion we no longer (or never) back, e.g. after we restarted from
-  // a snapshot predating the stubs.
+  // Answer unconditionally and immediately: the solicitor scores an
+  // unanswered probe as a strike toward eviction, and an empty set is as
+  // meaningful an answer as a full one — it expires every scion we no
+  // longer (or never) back, e.g. after we restarted from a snapshot
+  // predating the stubs.
   std::map<ProcessId, NewSetStubsMsg> reply =
       build_all_new_set_stubs(stubs_, {src});
   NewSetStubsMsg& msg = reply.at(src);
@@ -832,20 +796,22 @@ void Process::maybe_evict_peers() {
   }
   // Eviction proper requires sustained phi-accrual/failure suspicion for a
   // full timeout — silence alone never convicts, because silence cannot
-  // distinguish a dead holder from one that restarted from a snapshot
+  // distinguish a dead peer from one that restarted from a snapshot
   // predating our stubs (it legitimately never speaks to us again) or from
-  // a partitioned-but-alive one. Scion holders silent past the timeout are
-  // instead probed with NssSolicit: a live holder answers with its
-  // authoritative (possibly empty) NewSetStubs, expiring any orphan scions
-  // it no longer backs; a dead one leaves the probe unanswered, which
-  // scores a timeout strike and pushes it into the suspicion escalation.
-  std::set<ProcessId> holders;
+  // a partitioned-but-alive one. Every peer we hold state with — scion
+  // holders and stub owners (contacts) — that stays silent past the timeout
+  // is instead probed with NssSolicit, which turns its silence into a
+  // missed expected answer: a live peer answers with its authoritative
+  // (possibly empty) NewSetStubs, expiring any orphan scions it no longer
+  // backs; a dead one leaves the probe unanswered, which opens the accrual
+  // window and scores a timeout strike.
+  std::set<ProcessId> stateful(contacts_.begin(), contacts_.end());
   for (const auto& [ref, scion] : scions_) {
     (void)ref;
-    if (scion.holder != kNoProcess) holders.insert(scion.holder);
+    if (scion.holder != kNoProcess) stateful.insert(scion.holder);
   }
   std::set<ProcessId> candidates = peer_health_.known_peers();
-  candidates.insert(holders.begin(), holders.end());
+  candidates.insert(stateful.begin(), stateful.end());
   for (ProcessId peer : candidates) {
     if (peer == pid_ || peer_health_.evicted_incarnation(peer)) continue;
     bool dead = false;
@@ -853,7 +819,7 @@ void Process::maybe_evict_peers() {
       const SimTime since = peer_health_.suspected_since(peer);
       dead = since > 0 && now >= since + timeout;
     }
-    if (!dead && holders.contains(peer)) {
+    if (!dead && stateful.contains(peer)) {
       const SimTime heard = peer_health_.last_heard(peer);
       const SimTime baseline = std::max(heard, evict_watch_since_);
       if (now >= baseline + timeout) {
@@ -943,7 +909,6 @@ void Process::evict_peer(ProcessId peer) {
   //    survivor memory stays bounded under churn.
   contacts_.erase(peer);
   nss_seq_.erase(peer);
-  nss_gates_.erase(peer);
   nss_solicits_.erase(peer);
   for (auto it = inflight_calls_.begin(); it != inflight_calls_.end();) {
     it = it->second.first == peer ? inflight_calls_.erase(it) : ++it;

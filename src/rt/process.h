@@ -229,15 +229,6 @@ class Process {
     SimTime last_sent = 0;       // RTT sample baseline for the ack
   };
 
-  /// Per-contact NewSetStubs pacing toward a suspected peer: while the peer
-  /// is suspected, periodic re-sends are spaced out exponentially instead of
-  /// every LGC period (NSS is an idempotent full-state replacement, so
-  /// deferral only delays acyclic collection).
-  struct NssGate {
-    std::uint32_t level = 0;
-    SimTime next_ok = 0;
-  };
-
   RefId fresh_ref_id() { return make_ref_id(pid_, next_ref_counter_++); }
 
   void send(ProcessId dst, const MessagePayload& msg);
@@ -256,10 +247,11 @@ class Process {
 
   /// Permanent-failure escalation, run at the top of every LGC: commits a
   /// peer dead after `peer_death_timeout_us` of sustained suspicion. Scion
-  /// holders silent past the timeout are probed with NssSolicit first —
-  /// their (possibly empty) NewSetStubs answer expires orphan scions, and
-  /// an unanswered probe feeds the suspicion escalation instead of
-  /// convicting on silence alone (see the comment in the definition).
+  /// holders and stub owners silent past the timeout are probed with
+  /// NssSolicit first — their (possibly empty) NewSetStubs answer expires
+  /// orphan scions, and an unanswered probe feeds the suspicion escalation
+  /// instead of convicting on silence alone (see the comment in the
+  /// definition).
   void maybe_evict_peers();
 
   // Export machinery.
@@ -313,7 +305,6 @@ class Process {
   std::map<std::uint64_t, Handshake> handshakes_;
   PeerHealthTracker peer_health_{cfg_, env_.metrics()};
   std::unique_ptr<Batcher> batcher_;
-  std::map<ProcessId, NssGate> nss_gates_;
   /// call_id → (callee, send time); RTT samples for replies. Bounded; calls
   /// whose reply never arrives age out by insertion order (ids ascend).
   std::map<std::uint64_t, std::pair<ProcessId, SimTime>> inflight_calls_;
@@ -325,11 +316,11 @@ class Process {
   /// some ancient one — is rejected.
   std::map<ProcessId, Incarnation> peer_incs_;
   /// When the eviction escalation started watching (first run_lgc with
-  /// eviction enabled); the silence baseline for scion holders we have
-  /// never heard from at all.
+  /// eviction enabled); the silence baseline for scion holders and stub
+  /// owners we have never heard from at all.
   SimTime evict_watch_since_ = 0;
-  /// Scion-holder lease probes: when each silent holder was last sent an
-  /// NssSolicit. An entry whose send time is newer than the holder's
+  /// Lease probes: when each silent scion holder or stub owner was last
+  /// sent an NssSolicit. An entry whose send time is newer than the peer's
   /// last_heard means the probe went unanswered — a timeout strike.
   std::map<ProcessId, SimTime> nss_solicits_;
   bool self_evicted_ = false;

@@ -1,7 +1,10 @@
 #include "src/sim/fault_sweep.h"
 
+#include <cerrno>
+#include <cstdlib>
 #include <filesystem>
 #include <sstream>
+#include <system_error>
 #include <vector>
 
 #include "src/common/log.h"
@@ -17,23 +20,6 @@ namespace {
 constexpr SimTime kWarmupUs = 400'000;
 /// How long a crashed process stays down before restarting.
 constexpr SimTime kDownUs = 50'000;
-
-/// A sweep's snapshot-store directory: cleared on construction (stale state
-/// from an aborted run) and removed on destruction.
-class SnapshotDir {
- public:
-  explicit SnapshotDir(std::filesystem::path path) : path_(std::move(path)) {
-    std::filesystem::remove_all(path_);
-  }
-  ~SnapshotDir() { std::filesystem::remove_all(path_); }
-  SnapshotDir(const SnapshotDir&) = delete;
-  SnapshotDir& operator=(const SnapshotDir&) = delete;
-
-  std::string str() const { return path_.string(); }
-
- private:
-  std::filesystem::path path_;
-};
 
 /// Live sentinel ring: rooted L_p holds a remote reference to the unrooted
 /// N_{p+1}, whose survival therefore rests entirely on the cross-process
@@ -122,13 +108,27 @@ void judge(const Runtime& rt, const std::vector<ObjectId>& garbage,
 
 }  // namespace
 
-SweepResult run_crash_sweep(std::uint64_t seed, const std::string& snapshot_dir) {
+SnapshotDir::SnapshotDir(const std::string& prefix) {
+  std::string path = (std::filesystem::temp_directory_path() / (prefix + "XXXXXX")).string();
+  if (::mkdtemp(path.data()) == nullptr) {
+    throw std::filesystem::filesystem_error("mkdtemp", path,
+                                            std::error_code(errno, std::generic_category()));
+  }
+  path_ = std::move(path);
+}
+
+SnapshotDir::~SnapshotDir() {
+  std::error_code ec;
+  std::filesystem::remove_all(path_, ec);
+}
+
+SweepResult run_crash_sweep(std::uint64_t seed) {
   /// Run time on each side of a crash (≫ snapshot period, so the root drop
   /// and subsequent DGC progress are persisted before the next crash).
   constexpr SimTime kPhaseUs = 800'000;
   constexpr SimTime kSettleUs = 10'000'000;
 
-  const SnapshotDir dir(snapshot_dir);
+  const SnapshotDir dir("adgc_crash_sweep_" + std::to_string(seed) + "_");
   RuntimeConfig cfg = fast_config(seed);
   cfg.proc.snapshot_dir = dir.str();
 
@@ -166,8 +166,7 @@ SweepResult run_chaos_sweep(const ChaosSweepParams& p) {
   /// so deferred candidates re-launch.
   constexpr SimTime kSettleUs = 12'000'000;
 
-  const SnapshotDir dir(std::filesystem::temp_directory_path() /
-                        ("adgc_chaos_sweep_" + std::to_string(p.seed)));
+  const SnapshotDir dir("adgc_chaos_sweep_" + std::to_string(p.seed) + "_");
   RuntimeConfig cfg = fast_config(p.seed);
   cfg.proc.batching_enabled = p.batching;
   cfg.proc.snapshot_pipeline = p.snapshot_pipeline;

@@ -39,10 +39,25 @@ struct SweepResult {
   bool ok() const { return garbage_collected && !live_lost && !stranded; }
 };
 
-/// Crash sweep; deterministic in `seed`. `snapshot_dir` holds the
-/// persistent snapshot stores; it is cleared before the run and removed
-/// after it.
-SweepResult run_crash_sweep(std::uint64_t seed, const std::string& snapshot_dir);
+/// A uniquely named snapshot-store directory under the system temp
+/// directory, made by mkdtemp from `prefix` (so concurrent runs never share
+/// one) and removed with its contents on destruction.
+class SnapshotDir {
+ public:
+  explicit SnapshotDir(const std::string& prefix);
+  ~SnapshotDir();
+  SnapshotDir(const SnapshotDir&) = delete;
+  SnapshotDir& operator=(const SnapshotDir&) = delete;
+
+  const std::string& str() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
+/// Crash sweep; deterministic in `seed`. Its snapshot stores live in a
+/// fresh SnapshotDir.
+SweepResult run_crash_sweep(std::uint64_t seed);
 
 struct ChaosSweepParams {
   std::uint64_t seed = 1;
@@ -66,7 +81,7 @@ struct ChaosSweepParams {
 };
 
 /// Chaos sweep; deterministic in `params.seed`. Its snapshot stores live in
-/// a per-seed directory under the system temp, removed after the run.
+/// a fresh SnapshotDir.
 SweepResult run_chaos_sweep(const ChaosSweepParams& params);
 
 /// Eviction sweep; deterministic in `seed`.

@@ -12,11 +12,13 @@
 //     functional;
 //   * the scripted crash sweep (every process crashed once mid-detection)
 //     collects the Fig. 3 cycle and never collects a live sentinel, across
-//     seeds;
+//     seeds; concurrent sweeps with one seed get distinct snapshot stores;
 //   * the threaded runtime supports the same crash/restart cycle under real
 //     concurrency.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <string>
 
 #include "src/rt/threaded_runtime.h"
@@ -188,7 +190,7 @@ TEST(CrashRestart, RestartedIncarnationNeverReusesIdentifiers) {
 class CrashSweep : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(CrashSweep, CollectsCycleNeverLosesLiveObjects) {
-  const sim::SweepResult res = sim::run_crash_sweep(GetParam(), snap_dir());
+  const sim::SweepResult res = sim::run_crash_sweep(GetParam());
   EXPECT_TRUE(res.garbage_collected) << res.detail;
   EXPECT_FALSE(res.live_lost) << res.detail;
   EXPECT_FALSE(res.stranded) << res.detail;
@@ -202,16 +204,34 @@ INSTANTIATE_TEST_SUITE_P(TenSeeds, CrashSweep,
 // Nightly CI widens the sweep: ADGC_SOAK_MULTIPLIER=N adds N-1 batches of
 // ten seeds from 1000 on.
 TEST(CrashSweep, NightlyExtraSeeds) {
-  const std::string dir = snap_dir();
   const int extra_batches = test::soak_multiplier() - 1;
   for (int b = 0; b < extra_batches; ++b) {
     for (std::uint64_t s = 0; s < 10; ++s) {
       const std::uint64_t seed = 1000 + static_cast<std::uint64_t>(b) * 10 + s;
-      const sim::SweepResult res = sim::run_crash_sweep(seed, dir);
+      const sim::SweepResult res = sim::run_crash_sweep(seed);
       ASSERT_TRUE(res.ok()) << "seed=" << seed << ": " << res.detail;
       ASSERT_EQ(res.recovered, 4u) << "seed=" << seed;
     }
   }
+}
+
+// Two runs with the same seed at once (two sweeps, or two adgc_sim
+// --crash-every runs) must never share a snapshot store: the first to finish
+// would delete the other's files mid-run.
+TEST(SnapshotDir, SameSeedGetsDistinctDirsRemovedOnDestruction) {
+  std::string a_path, b_path;
+  {
+    const sim::SnapshotDir a("adgc_snapshot_dir_test_7_");
+    const sim::SnapshotDir b("adgc_snapshot_dir_test_7_");
+    a_path = a.str();
+    b_path = b.str();
+    EXPECT_NE(a_path, b_path);
+    ASSERT_TRUE(std::filesystem::is_directory(a_path));
+    ASSERT_TRUE(std::filesystem::is_directory(b_path));
+    std::ofstream(std::filesystem::path(a_path) / "snap.bin") << "x";
+  }
+  EXPECT_FALSE(std::filesystem::exists(a_path));
+  EXPECT_FALSE(std::filesystem::exists(b_path));
 }
 
 // ------------------------------------------------------- threaded runtime

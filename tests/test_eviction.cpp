@@ -12,7 +12,8 @@
 //     and the stranded garbage it unpins is reclaimed by the next LGC;
 //   * a zombie (evicted but still running) is NACKed into self_evicted and
 //     a fresh incarnation is readmitted and fully functional;
-//   * a silent dead peer is evicted automatically after the timeout;
+//   * a silent dead peer is evicted automatically after the timeout, also
+//     when we only hold stubs toward it and never invoke it;
 //   * the multi-seed ring sweep reclaims every stranded stub/scion in
 //     bounded time without touching live sentinels;
 //   * the model checker finds no safety violation in the evict scenario's
@@ -185,6 +186,32 @@ TEST(Eviction, SilentDeadPeerEvictedAfterTimeout) {
       << "object kept alive only by the dead peer's scion never reclaimed";
   // The eviction also released the victim's health slot (gauge falls to 0).
   EXPECT_EQ(rt.proc(0).metrics().peer_health_slots.get(), 0u);
+}
+
+// A dead *stub owner* is evicted too. P0 holds only a stub toward P1 and
+// never invokes through it, so nothing P0 sends P1 owes an answer: only the
+// NssSolicit lease probe turns P1's silence into a missed expected answer.
+// P1 once held a reference into P0 and dropped it, so P0 has heard from it.
+TEST(Eviction, DeadStubOwnerEvictedWithoutInvocations) {
+  RuntimeConfig cfg = sim::fast_config(22);
+  cfg.proc.peer_death_timeout_us = 1'000'000;
+  Runtime rt(2, cfg);
+  const LiveRef out = build_live_ref(rt, 0, 1);
+  const LiveRef back = build_live_ref(rt, 1, 0);
+  rt.run_for(300'000);
+  rt.proc(1).remove_root(back.holder_obj.seq);
+  rt.run_for(500'000);
+  ASSERT_FALSE(rt.proc(0).scions().contains(back.ref)) << "P1 never dropped its reference";
+  ASSERT_GT(rt.proc(0).peer_health().last_heard(1), 0u);
+  ASSERT_TRUE(rt.proc(0).stubs().contains(out.ref));
+
+  rt.crash(1);  // forever
+  rt.run_for(4'000'000);
+
+  EXPECT_EQ(rt.proc(0).metrics().peers_evicted.get(), 1u);
+  EXPECT_TRUE(rt.proc(0).peer_health().evicted_incarnation(1).has_value());
+  EXPECT_FALSE(rt.proc(0).stubs().contains(out.ref))
+      << "stub toward the dead owner never retired";
 }
 
 class EvictionSweep : public ::testing::TestWithParam<std::uint64_t> {};

@@ -1,11 +1,13 @@
 // Fault tolerance: the paper claims the algorithm tolerates message loss —
 // lost CDMs/NewSetStubs only delay collection, never corrupt it. These tests
-// run the full protocol under loss, duplication and partitions.
+// run the full protocol under loss, duplication and partitions — and check
+// that without any of them the adaptive-degradation layer stays silent.
 #include <gtest/gtest.h>
 
 #include "src/rt/runtime.h"
 #include "src/sim/harness.h"
 #include "src/sim/scenarios.h"
+#include "src/sim/workload.h"
 
 namespace adgc {
 namespace {
@@ -46,6 +48,33 @@ TEST_P(FaultSweep, LiveObjectsSurviveLoss) {
 INSTANTIATE_TEST_SUITE_P(LossLevels, FaultSweep,
                          ::testing::Combine(::testing::Values(1u, 2u, 3u),
                                             ::testing::Values(0.05, 0.15, 0.30)));
+
+// A fault-free run is clean: with no loss, no crash and no partition, no
+// peer may ever look suspicious, nothing is shed and nobody is evicted. The
+// shape is `adgc_sim --procs=8 --rounds=20 --steps=20 --settle-ms=5000`.
+// One-way traffic (the NewSetStubs stream toward scion owners, CDMs) owes no
+// answer, so its silence must never open a suspicion window.
+class FaultFreeSweep : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(FaultFreeSweep, NoSuspicionNoSheddingNoEviction) {
+  const std::uint64_t seed = GetParam();
+  Runtime rt(8, sim::fast_config(seed));
+  sim::RandomWorkload w(rt, sim::WorkloadParams{}, seed * 31 + 7);
+  for (int round = 0; round < 20; ++round) {
+    w.steps(20);
+    rt.run_for(15'000);
+  }
+  rt.run_for(5'000'000);
+
+  const Metrics m = rt.total_metrics();
+  EXPECT_EQ(m.peer_suspect_transitions.get(), 0u) << "seed=" << seed;
+  EXPECT_EQ(m.cdms_shed.get(), 0u) << "seed=" << seed;
+  EXPECT_EQ(m.new_set_stubs_shed.get(), 0u) << "seed=" << seed;
+  EXPECT_EQ(m.peers_evicted.get(), 0u) << "seed=" << seed;
+  EXPECT_TRUE(w.converged()) << "seed=" << seed;
+}
+
+INSTANTIATE_TEST_SUITE_P(TenSeeds, FaultFreeSweep, ::testing::Range<std::uint64_t>(1, 11));
 
 TEST(FaultTolerance, DuplicatedMessagesAreIdempotent) {
   RuntimeConfig cfg = sim::fast_config(31);

@@ -26,8 +26,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 
 #include "src/common/log.h"
@@ -245,7 +245,7 @@ int main(int argc, char** argv) {
     const Metrics& m = res.totals;
     std::printf("  crashes=%zu recovered=%zu messages_lost=%llu\n", res.crashes,
                 res.recovered, static_cast<unsigned long long>(m.messages_lost.get()));
-    std::printf("  suspects=%llu cdms_shed=%llu nss_shed=%llu deferred=%llu "
+    std::printf("  suspects=%llu cdms_shed=%llu nss_shed=%llu detections_deferred=%llu "
                 "abandoned_handshakes=%llu\n",
                 static_cast<unsigned long long>(m.peer_suspect_transitions.get()),
                 static_cast<unsigned long long>(m.cdms_shed.get()),
@@ -287,12 +287,10 @@ int main(int argc, char** argv) {
   if (opt.snapshot_pipeline_latency_us > 0) {
     cfg.proc.snapshot_pipeline_latency_us = opt.snapshot_pipeline_latency_us;
   }
-  std::filesystem::path crash_dir;
+  std::optional<sim::SnapshotDir> crash_dir;
   if (opt.crash_every > 0) {
-    crash_dir = std::filesystem::temp_directory_path() /
-                ("adgc_sim_crash_" + std::to_string(opt.seed));
-    std::filesystem::remove_all(crash_dir);
-    cfg.proc.snapshot_dir = crash_dir.string();
+    crash_dir.emplace("adgc_sim_crash_" + std::to_string(opt.seed) + "_");
+    cfg.proc.snapshot_dir = crash_dir->str();
   }
   Runtime rt(opt.procs, cfg);
 
@@ -357,7 +355,6 @@ int main(int argc, char** argv) {
     std::printf("TRACE file=%s events=%zu\n", opt.obs_dump.c_str(), events.size());
   }
 
-  if (!crash_dir.empty()) std::filesystem::remove_all(crash_dir);
   if (!workload.converged()) {
     std::printf("\nNOT CONVERGED (garbage left or live objects missing)\n");
     return 1;
